@@ -96,9 +96,13 @@ fn chaos_grid() -> SweepSpec {
     }
 }
 
+/// A checkpoint path unique to this call, so campaigns running at the same
+/// time in one process (parallel tests) never share a file.
 fn temp_ckpt(tag: &str) -> String {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("mtsim-chaos-{}-{tag}.jsonl", std::process::id()));
+    p.push(format!("mtsim-chaos-{}-{n}-{tag}.jsonl", std::process::id()));
     p.to_string_lossy().into_owned()
 }
 

@@ -947,7 +947,14 @@ fn cmd_replay(args: &Args) {
     cfg.net = net_from_args(args);
     validate_or_die(&cfg);
 
-    let fin = mtsim_core::Machine::try_new(cfg.clone(), &tp.program, tp.shared())
+    // The explicit-switch models run the grouped program, as `run_app`
+    // does: the compiled trace itself carries no `Switch`.
+    let program = if model.uses_explicit_switch() {
+        mtsim_opt::group_shared_loads(&tp.program).program
+    } else {
+        tp.program.clone()
+    };
+    let fin = mtsim_core::Machine::try_new(cfg.clone(), &program, tp.shared())
         .and_then(mtsim_core::Machine::run);
     let fin = match fin {
         Ok(f) => f,

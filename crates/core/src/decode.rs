@@ -3,8 +3,7 @@
 //!
 //! The builder-facing [`Inst`](mtsim_isa::Inst) enum is the right shape
 //! for assembling and validating programs, but the engine's hot loop
-//! needs per-instruction facts that `Inst` only yields through matches
-//! and allocating def/use queries (`int_uses` and friends return `Vec`s).
+//! needs per-instruction facts that `Inst` only yields through matches.
 //! [`DecodedProgram::decode`] resolves all of that **once per program**
 //! — at artifact-build time in `mtsim-sweep`'s cache — into a flat
 //! [`DInst`] table:
@@ -74,18 +73,13 @@ impl DInst {
     /// Decodes one instruction. Every field is derived through the
     /// `mtsim-isa` queries, so this cannot disagree with them.
     pub fn decode(inst: Inst) -> DInst {
-        let mut int_use_mask = 0u32;
-        for r in inst.int_uses() {
-            int_use_mask |= 1 << r.index();
-        }
-        let mut fp_use_mask = 0u32;
-        for f in inst.fp_uses() {
-            fp_use_mask |= 1 << f.index();
-        }
-        let mut fp_def_mask = 0u32;
-        for f in inst.fp_defs() {
-            fp_def_mask |= 1 << f.index();
-        }
+        // The ISA masks hold integer registers in the low 32 bits and FP
+        // registers in the high 32; split them into the per-file fields.
+        let uses = inst.use_mask();
+        let defs = inst.def_mask();
+        let int_use_mask = uses as u32;
+        let fp_use_mask = (uses >> 32) as u32;
+        let fp_def_mask = (defs >> 32) as u32;
         let int_def = inst.int_def().map_or(0, |r| r.index() as u8);
         let resets_spin = matches!(
             inst,
@@ -308,28 +302,17 @@ mod tests {
         v
     }
 
-    /// The decoded fields must agree exactly with the allocating ISA
-    /// queries they replace, for every instruction shape.
+    /// The decoded fields must agree exactly with the ISA queries they
+    /// replace, for every instruction shape.
     #[test]
     fn decode_never_drifts_from_isa_queries() {
         for inst in all_shapes() {
             let d = DInst::decode(inst);
             assert_eq!(d.cost, cost::cycles(&inst), "{inst:?}");
-            let mut want_int = 0u32;
-            for r in inst.int_uses() {
-                want_int |= 1 << r.index();
-            }
-            assert_eq!(d.int_use_mask, want_int, "{inst:?}");
-            let mut want_fp = 0u32;
-            for f in inst.fp_uses() {
-                want_fp |= 1 << f.index();
-            }
-            assert_eq!(d.fp_use_mask, want_fp, "{inst:?}");
-            let mut want_fd = 0u32;
-            for f in inst.fp_defs() {
-                want_fd |= 1 << f.index();
-            }
-            assert_eq!(d.fp_def_mask, want_fd, "{inst:?}");
+            let uses = u64::from(d.fp_use_mask) << 32 | u64::from(d.int_use_mask);
+            assert_eq!(uses, inst.use_mask(), "{inst:?}");
+            let int_def = if d.int_def == 0 { 0 } else { 1u64 << d.int_def };
+            assert_eq!(u64::from(d.fp_def_mask) << 32 | int_def, inst.def_mask(), "{inst:?}");
             assert_eq!(d.int_def as usize, inst.int_def().map_or(0, |r| r.index()), "{inst:?}");
             assert_eq!(d.is_shared_access(), inst.is_shared_access(), "{inst:?}");
             assert_eq!(d.int_use_mask & 1, 0, "r0 in use mask: {inst:?}");

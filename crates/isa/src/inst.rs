@@ -278,36 +278,41 @@ impl Inst {
         }
     }
 
-    /// Integer registers read by this instruction.
-    pub fn int_uses(&self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
+    /// Registers read by this instruction, as a 64-bit mask: bit `r` for
+    /// integer register `r` (never `r0`, which is hardwired zero), bit
+    /// `32 + f` for FP register `f`. A register read twice (`rs == rt`)
+    /// sets its bit once.
+    pub fn use_mask(&self) -> u64 {
         match *self {
-            Inst::Alu { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
-            }
-            Inst::AluI { rs, .. } => v.push(rs),
-            Inst::CvtIF { rs, .. } | Inst::MovIF { rs, .. } => v.push(rs),
+            Inst::Alu { rs, rt, .. } | Inst::Branch { rs, rt, .. } => int_bit(rs) | int_bit(rt),
+            Inst::AluI { rs, .. } | Inst::CvtIF { rs, .. } | Inst::MovIF { rs, .. } => int_bit(rs),
             Inst::Load { base, .. } | Inst::FLoad { base, .. } | Inst::LoadPair { base, .. } => {
-                v.push(base)
+                int_bit(base)
             }
-            Inst::Store { rs, base, .. } => {
-                v.push(rs);
-                v.push(base);
+            Inst::Store { rs, base, .. } | Inst::FetchAdd { rs, base, .. } => {
+                int_bit(rs) | int_bit(base)
             }
-            Inst::FStore { base, .. } | Inst::StorePair { base, .. } => v.push(base),
-            Inst::FetchAdd { rs, base, .. } => {
-                v.push(rs);
-                v.push(base);
-            }
-            Inst::Branch { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
-            }
-            _ => {}
+            Inst::FStore { fs, base, .. } => int_bit(base) | fp_bit(fs),
+            Inst::StorePair { fs1, fs2, base, .. } => int_bit(base) | fp_bit(fs1) | fp_bit(fs2),
+            Inst::Fpu { fs, ft, .. } | Inst::FpuCmp { fs, ft, .. } => fp_bit(fs) | fp_bit(ft),
+            Inst::CvtFI { fs, .. } | Inst::MovFI { fs, .. } | Inst::FSqrt { fs, .. } => fp_bit(fs),
+            _ => 0,
         }
-        v.retain(|r| !r.is_zero());
-        v
+    }
+
+    /// Registers written by this instruction, in the [`Inst::use_mask`]
+    /// encoding.
+    pub fn def_mask(&self) -> u64 {
+        match *self {
+            Inst::Fpu { fd, .. }
+            | Inst::FLi { fd, .. }
+            | Inst::CvtIF { fd, .. }
+            | Inst::MovIF { fd, .. }
+            | Inst::FSqrt { fd, .. }
+            | Inst::FLoad { fd, .. } => fp_bit(fd),
+            Inst::LoadPair { fd1, fd2, .. } => fp_bit(fd1) | fp_bit(fd2),
+            _ => self.int_def().map_or(0, int_bit),
+        }
     }
 
     /// Integer register written by this instruction, if any. `LoadPair`
@@ -325,31 +330,20 @@ impl Inst {
         };
         (!rd.is_zero()).then_some(rd)
     }
+}
 
-    /// FP registers read by this instruction.
-    pub fn fp_uses(&self) -> Vec<FReg> {
-        match *self {
-            Inst::Fpu { fs, ft, .. } | Inst::FpuCmp { fs, ft, .. } => vec![fs, ft],
-            Inst::CvtFI { fs, .. } | Inst::MovFI { fs, .. } | Inst::FStore { fs, .. } => vec![fs],
-            Inst::FSqrt { fs, .. } => vec![fs],
-            Inst::StorePair { fs1, fs2, .. } => vec![fs1, fs2],
-            _ => Vec::new(),
-        }
+/// The [`Inst::use_mask`] bit of integer register `r` (none for `r0`).
+fn int_bit(r: Reg) -> u64 {
+    if r.is_zero() {
+        0
+    } else {
+        1 << r.index()
     }
+}
 
-    /// FP registers written by this instruction.
-    pub fn fp_defs(&self) -> Vec<FReg> {
-        match *self {
-            Inst::Fpu { fd, .. }
-            | Inst::FLi { fd, .. }
-            | Inst::CvtIF { fd, .. }
-            | Inst::MovIF { fd, .. }
-            | Inst::FSqrt { fd, .. }
-            | Inst::FLoad { fd, .. } => vec![fd],
-            Inst::LoadPair { fd1, fd2, .. } => vec![fd1, fd2],
-            _ => Vec::new(),
-        }
-    }
+/// The [`Inst::use_mask`] bit of FP register `f`.
+fn fp_bit(f: FReg) -> u64 {
+    1 << (32 + f.index())
 }
 
 #[cfg(test)]
@@ -400,13 +394,34 @@ mod tests {
     #[test]
     fn def_use_sets() {
         let i = Inst::Alu { op: AluOp::Add, rd: Reg::new(8), rs: Reg::new(9), rt: Reg::new(10) };
-        assert_eq!(i.int_uses(), vec![Reg::new(9), Reg::new(10)]);
+        assert_eq!(i.use_mask(), 1 << 9 | 1 << 10);
+        assert_eq!(i.def_mask(), 1 << 8);
         assert_eq!(i.int_def(), Some(Reg::new(8)));
+
+        // A register read twice sets its bit once.
+        let dup = Inst::Alu { op: AluOp::Mul, rd: Reg::new(8), rs: Reg::new(9), rt: Reg::new(9) };
+        assert_eq!(dup.use_mask(), 1 << 9);
 
         // r0 never appears in def/use sets.
         let z = Inst::AluI { op: AluOp::Add, rd: Reg::ZERO, rs: Reg::ZERO, imm: 1 };
-        assert!(z.int_uses().is_empty());
+        assert_eq!(z.use_mask(), 0);
+        assert_eq!(z.def_mask(), 0);
         assert_eq!(z.int_def(), None);
+
+        // FP registers live in the high half.
+        let st = Inst::StorePair {
+            space: Space::Shared,
+            fs1: FReg::new(0),
+            fs2: FReg::new(31),
+            base: Reg::new(8),
+            offset: 0,
+        };
+        assert_eq!(st.use_mask(), 1 << 8 | 1 << 32 | 1 << 63);
+        assert_eq!(st.def_mask(), 0);
+        let cmp =
+            Inst::FpuCmp { op: CmpOp::Lt, rd: Reg::new(3), fs: FReg::new(1), ft: FReg::new(2) };
+        assert_eq!(cmp.use_mask(), 1 << 33 | 1 << 34);
+        assert_eq!(cmp.def_mask(), 1 << 3);
     }
 
     #[test]
@@ -419,8 +434,8 @@ mod tests {
             offset: 0,
         };
         assert_eq!(lp.int_def(), None);
-        assert_eq!(lp.fp_defs(), vec![FReg::new(1), FReg::new(2)]);
-        assert_eq!(lp.int_uses(), vec![Reg::new(8)]);
+        assert_eq!(lp.def_mask(), 1 << 33 | 1 << 34);
+        assert_eq!(lp.use_mask(), 1 << 8);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   blocking shared read, so a `Switch` must intervene if the predecessor
 //!   is still pending.
 
+use crate::regs::is_shared_storelike;
 use mtsim_isa::Inst;
 
 /// A dependency edge.
@@ -42,12 +43,6 @@ pub(crate) fn is_blocking_read(inst: &Inst) -> bool {
     }
 }
 
-/// True for memory operations that behave like stores for ordering
-/// purposes in the given space.
-fn is_shared_storelike(inst: &Inst) -> bool {
-    inst.is_shared_write() || matches!(inst, Inst::FetchAdd { .. })
-}
-
 fn is_local_load(inst: &Inst) -> bool {
     matches!(
         inst,
@@ -73,7 +68,8 @@ impl Dag {
         let mut dag =
             Dag { succs: vec![Vec::new(); n], preds: vec![0; n], completion_preds: vec![0; n] };
 
-        // Register bookkeeping. Index space: 0..32 int, 32..64 fp.
+        // Register bookkeeping, indexed by `Inst::use_mask` bit: 0..32 int,
+        // 32..64 fp.
         const NREGS: usize = 64;
         let mut last_def: [Option<usize>; NREGS] = [None; NREGS];
         let mut readers_since_def: Vec<Vec<usize>> = vec![Vec::new(); NREGS];
@@ -94,29 +90,22 @@ impl Dag {
         };
 
         for (i, inst) in insts.iter().enumerate() {
-            let uses: Vec<usize> = inst
-                .int_uses()
-                .iter()
-                .map(|r| r.index())
-                .chain(inst.fp_uses().iter().map(|f| 32 + f.index()))
-                .collect();
-            let defs: Vec<usize> = inst
-                .int_def()
-                .iter()
-                .map(|r| r.index())
-                .chain(inst.fp_defs().iter().map(|f| 32 + f.index()))
-                .collect();
-
             // RAW: reading a value. Needs completion if producer is a
             // blocking read (the value arrives only after a Switch).
-            for &u in &uses {
+            let mut uses = inst.use_mask();
+            while uses != 0 {
+                let u = uses.trailing_zeros() as usize;
+                uses &= uses - 1;
                 if let Some(d) = last_def[u] {
                     add_edge(&mut dag, d, i, is_blocking_read(&insts[d]));
                 }
                 readers_since_def[u].push(i);
             }
             // WAR / WAW on destinations.
-            for &d in &defs {
+            let mut defs = inst.def_mask();
+            while defs != 0 {
+                let d = defs.trailing_zeros() as usize;
+                defs &= defs - 1;
                 for &r in &readers_since_def[d] {
                     if r != i {
                         // Overwriting after a read: plain ordering.
@@ -136,13 +125,10 @@ impl Dag {
             // with every shared access; loads commute with loads.
             if inst.is_shared_access() {
                 if is_shared_storelike(inst) {
+                    // The previous store heads this list, so it is ordered
+                    // here too.
                     for &a in &shared_accesses_since_store {
                         add_edge(&mut dag, a, i, false);
-                    }
-                    if let Some(s) = last_shared_store {
-                        if !shared_accesses_since_store.contains(&s) {
-                            add_edge(&mut dag, s, i, false);
-                        }
                     }
                     last_shared_store = Some(i);
                     shared_accesses_since_store.clear();
@@ -157,11 +143,6 @@ impl Dag {
                 if is_local_store(inst) {
                     for &a in &local_accesses_since_store {
                         add_edge(&mut dag, a, i, false);
-                    }
-                    if let Some(s) = last_local_store {
-                        if !local_accesses_since_store.contains(&s) {
-                            add_edge(&mut dag, s, i, false);
-                        }
                     }
                     last_local_store = Some(i);
                     local_accesses_since_store.clear();
@@ -198,6 +179,20 @@ mod tests {
         ];
         let dag = Dag::build(&insts);
         assert_eq!(dag.succs[0], vec![Edge { to: 1, needs_completion: true }]);
+        assert_eq!(dag.completion_preds[1], 1);
+    }
+
+    #[test]
+    fn same_register_operands_after_load_need_completion() {
+        // r10 = r8 * r8 reads the pending load's destination twice: one
+        // edge, and it still waits for the value.
+        let insts = vec![
+            sload(8, 9),
+            Inst::Alu { op: AluOp::Mul, rd: Reg::new(10), rs: Reg::new(8), rt: Reg::new(8) },
+        ];
+        let dag = Dag::build(&insts);
+        assert_eq!(dag.succs[0], vec![Edge { to: 1, needs_completion: true }]);
+        assert_eq!(dag.preds[1], 1);
         assert_eq!(dag.completion_preds[1], 1);
     }
 

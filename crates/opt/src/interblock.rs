@@ -37,7 +37,7 @@
 //! hoist never changes control structure, one CFG serves all sweeps.
 
 use crate::cfg::Cfg;
-use crate::regs::{def_mask, is_shared_storelike, use_mask};
+use crate::regs::is_shared_storelike;
 use mtsim_asm::Program;
 use mtsim_isa::{AccessHint, Inst, Pc, Space, Target};
 
@@ -167,15 +167,15 @@ pub fn hoist_shared_loads(prog: &Program) -> HoistResult {
             for &r in &path.between {
                 for inst in &bodies[r] {
                     between_storelike |= is_shared_storelike(inst);
-                    between_defs |= def_mask(inst);
-                    between_touch |= use_mask(inst) | def_mask(inst);
+                    between_defs |= inst.def_mask();
+                    between_touch |= inst.use_mask() | inst.def_mask();
                 }
             }
             if between_storelike {
                 continue;
             }
             let term_uses = match bodies[d].last() {
-                Some(t) if t.is_control() => use_mask(t),
+                Some(t) if t.is_control() => t.use_mask(),
                 _ => 0,
             };
 
@@ -187,8 +187,8 @@ pub fn hoist_shared_loads(prog: &Program) -> HoistResult {
                 let inst = bodies[b][i];
                 let last = i == bodies[b].len() - 1;
                 if !(last && inst.is_control()) && is_hoistable_load(&inst) {
-                    let bases = use_mask(&inst);
-                    let dests = def_mask(&inst);
+                    let bases = inst.use_mask();
+                    let dests = inst.def_mask();
                     let legal = !prefix_storelike
                         && prefix_defs & bases == 0
                         && prefix_touch & dests == 0
@@ -208,8 +208,8 @@ pub fn hoist_shared_loads(prog: &Program) -> HoistResult {
                     }
                 }
                 prefix_storelike |= is_shared_storelike(&inst);
-                prefix_defs |= def_mask(&inst);
-                prefix_touch |= use_mask(&inst) | def_mask(&inst);
+                prefix_defs |= inst.def_mask();
+                prefix_touch |= inst.use_mask() | inst.def_mask();
                 i += 1;
             }
         }

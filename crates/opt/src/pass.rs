@@ -2,10 +2,11 @@
 //! shared loads are issued together, then inserts one `Switch` per group.
 
 use crate::blocks::basic_blocks;
-use crate::dag::{is_blocking_read, Dag};
+use crate::dag::{is_blocking_read, Dag, Edge};
 use mtsim_asm::Program;
 use mtsim_isa::{Inst, Pc, Target};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Statistics produced by [`group_shared_loads`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -64,11 +65,11 @@ pub fn group_shared_loads(prog: &Program) -> GroupingResult {
     let blocks = basic_blocks(prog);
     let mut out: Vec<Inst> = Vec::with_capacity(prog.len() + prog.len() / 4);
     let mut stats = GroupStats { blocks: blocks.len(), ..GroupStats::default() };
-    // old leader pc -> new pc
-    let mut leader_map: Vec<(Pc, Pc)> = Vec::with_capacity(blocks.len());
+    // Old pc -> new pc, filled for block leaders only.
+    let mut leader_pc: Vec<Option<Pc>> = vec![None; prog.len()];
 
     for range in &blocks {
-        leader_map.push((range.start as Pc, out.len() as Pc));
+        leader_pc[range.start] = Some(out.len() as Pc);
         let insts = &prog.insts()[range.clone()];
         schedule_block(insts, &mut out, &mut stats);
     }
@@ -76,10 +77,10 @@ pub fn group_shared_loads(prog: &Program) -> GroupingResult {
     // Rewrite branch targets to the new leader positions.
     for inst in &mut out {
         if let Some(Target::Pc(old)) = inst.target() {
-            let new = leader_map
-                .iter()
-                .find(|&&(o, _)| o == old)
-                .map(|&(_, n)| n)
+            let new = leader_pc
+                .get(old as usize)
+                .copied()
+                .flatten()
                 .unwrap_or_else(|| panic!("branch target @{old} is not a block leader"));
             inst.set_target(Target::Pc(new));
         }
@@ -89,6 +90,61 @@ pub fn group_shared_loads(prog: &Program) -> GroupingResult {
         program: Program::from_raw_parts(prog.name().to_string(), out)
             .with_local_words(prog.local_words()),
         stats,
+    }
+}
+
+/// The ready sets of one block's list schedule. A node is *ready* once
+/// every predecessor has been emitted and every value it needs has
+/// completed. Ready nodes wait in two min-heaps keyed by their index in the
+/// block, so a pop yields the lowest-index ready candidate; each node
+/// enters a heap exactly once, when its last unsatisfied edge is released.
+struct Ready<'a> {
+    body: &'a [Inst],
+    unemitted_preds: Vec<usize>,
+    uncompleted_needs: Vec<usize>,
+    reads: BinaryHeap<Reverse<usize>>,
+    others: BinaryHeap<Reverse<usize>>,
+}
+
+impl<'a> Ready<'a> {
+    fn new(body: &'a [Inst], preds: Vec<usize>, completion_preds: Vec<usize>) -> Ready<'a> {
+        let mut ready = Ready {
+            body,
+            unemitted_preds: preds,
+            uncompleted_needs: completion_preds,
+            reads: BinaryHeap::new(),
+            others: BinaryHeap::new(),
+        };
+        // Every completion edge is also counted in `preds`, so a node with
+        // no predecessors needs nothing either.
+        for i in 0..body.len() {
+            if ready.unemitted_preds[i] == 0 {
+                ready.enqueue(i);
+            }
+        }
+        ready
+    }
+
+    fn enqueue(&mut self, i: usize) {
+        if is_blocking_read(&self.body[i]) {
+            self.reads.push(Reverse(i));
+        } else {
+            self.others.push(Reverse(i));
+        }
+    }
+
+    /// Releases one incoming edge of `to`: its source was emitted
+    /// (`issued`) and/or the source's value completed (`completed`).
+    fn release(&mut self, to: usize, issued: bool, completed: bool) {
+        if issued {
+            self.unemitted_preds[to] -= 1;
+        }
+        if completed {
+            self.uncompleted_needs[to] -= 1;
+        }
+        if self.unemitted_preds[to] == 0 && self.uncompleted_needs[to] == 0 {
+            self.enqueue(to);
+        }
     }
 }
 
@@ -105,66 +161,39 @@ fn schedule_block(insts: &[Inst], out: &mut Vec<Inst>, stats: &mut GroupStats) {
     }
 
     let n = body.len();
-    let dag = Dag::build(body);
-    let mut unemitted_preds = dag.preds.clone();
-    let mut uncompleted_needs = dag.completion_preds.clone();
-    let mut emitted = vec![false; n];
+    let Dag { succs, preds, completion_preds } = Dag::build(body);
+    let mut ready = Ready::new(body, preds, completion_preds);
     let mut pending: Vec<usize> = Vec::new();
     let mut emitted_count = 0usize;
 
-    let candidate =
-        |i: usize, emitted: &[bool], unemitted_preds: &[usize], uncompleted_needs: &[usize]| {
-            !emitted[i] && unemitted_preds[i] == 0 && uncompleted_needs[i] == 0
-        };
-
     while emitted_count < n {
-        // 1. Issue every ready blocking read (opens / extends the group).
-        let mut issued_any = false;
-        loop {
-            let next = (0..n).find(|&i| {
-                candidate(i, &emitted, &unemitted_preds, &uncompleted_needs)
-                    && is_blocking_read(&body[i])
-            });
-            let Some(i) = next else { break };
-            emitted[i] = true;
-            emitted_count += 1;
+        if let Some(Reverse(i)) = ready.reads.pop() {
+            // 1. Issue every ready blocking read first (opens / extends the
+            //    group); completion deps stay blocked until the Switch.
             out.push(body[i]);
             pending.push(i);
-            issued_any = true;
-            for e in &dag.succs[i] {
-                unemitted_preds[e.to] -= 1;
-                // completion deps stay blocked until the Switch
+            for e in &succs[i] {
+                ready.release(e.to, true, false);
             }
-        }
-        if issued_any {
-            continue;
-        }
-
-        // 2. Emit one ready non-read instruction.
-        if let Some(i) =
-            (0..n).find(|&i| candidate(i, &emitted, &unemitted_preds, &uncompleted_needs))
-        {
-            emitted[i] = true;
-            emitted_count += 1;
+        } else if let Some(Reverse(i)) = ready.others.pop() {
+            // 2. Emit the lowest-index ready non-read instruction.
             out.push(body[i]);
-            for e in &dag.succs[i] {
-                unemitted_preds[e.to] -= 1;
-                if e.needs_completion {
-                    uncompleted_needs[e.to] -= 1;
-                }
+            for e in &succs[i] {
+                ready.release(e.to, true, e.needs_completion);
             }
+        } else {
+            // 3. Stuck on pending values: close the group with a Switch.
+            assert!(!pending.is_empty(), "dependency cycle in basic block");
+            close_group(&succs, &mut ready, &mut pending, out, stats);
             continue;
         }
-
-        // 3. Stuck on pending values: close the group with a Switch.
-        assert!(!pending.is_empty(), "dependency cycle in basic block");
-        close_group(&dag, &mut pending, &mut uncompleted_needs, out, stats);
+        emitted_count += 1;
     }
 
     // Loads still in flight at block end: close the group before leaving
     // the block (intra-block analysis cannot see uses in successor blocks).
     if !pending.is_empty() {
-        close_group(&dag, &mut pending, &mut uncompleted_needs, out, stats);
+        close_group(&succs, &mut ready, &mut pending, out, stats);
     }
 
     if let Some(t) = terminator {
@@ -173,9 +202,9 @@ fn schedule_block(insts: &[Inst], out: &mut Vec<Inst>, stats: &mut GroupStats) {
 }
 
 fn close_group(
-    dag: &Dag,
+    succs: &[Vec<Edge>],
+    ready: &mut Ready<'_>,
     pending: &mut Vec<usize>,
-    uncompleted_needs: &mut [usize],
     out: &mut Vec<Inst>,
     stats: &mut GroupStats,
 ) {
@@ -184,9 +213,9 @@ fn close_group(
     stats.grouped_loads += pending.len();
     *stats.group_sizes.entry(pending.len()).or_insert(0) += 1;
     for p in pending.drain(..) {
-        for e in &dag.succs[p] {
+        for e in &succs[p] {
             if e.needs_completion {
-                uncompleted_needs[e.to] -= 1;
+                ready.release(e.to, false, true);
             }
         }
     }

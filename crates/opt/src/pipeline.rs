@@ -50,7 +50,7 @@
 
 use crate::cfg::Cfg;
 use crate::dag::Dag;
-use crate::regs::{def_mask, is_pure_alu, is_shared_storelike, use_mask};
+use crate::regs::{is_pure_alu, is_shared_storelike};
 use mtsim_asm::Program;
 use mtsim_isa::{AccessHint, AluOp, FReg, Inst, Pc, Reg, Space, Target};
 
@@ -169,9 +169,9 @@ fn build_plan(
         if (0..n).any(|k| anc[i][k] && !is_pure_alu(&body[k])) {
             continue;
         }
-        let dests = def_mask(inst);
+        let dests = inst.def_mask();
         let defined_elsewhere =
-            body.iter().enumerate().any(|(k, other)| k != i && def_mask(other) & dests != 0);
+            body.iter().enumerate().any(|(k, other)| k != i && other.def_mask() & dests != 0);
         if defined_elsewhere || claimed_dests & dests != 0 {
             continue;
         }
@@ -198,12 +198,12 @@ fn build_plan(
     let mask_of = |sel: &dyn Fn(usize) -> bool, f: &dyn Fn(&Inst) -> u64| -> u64 {
         (0..n).filter(|&i| sel(i)).map(|i| f(&body[i])).fold(0, |a, b| a | b)
     };
-    let u_c: u64 = h_insts.iter().map(use_mask).fold(0, |a, b| a | b);
-    let d_c: u64 = h_insts.iter().map(def_mask).fold(0, |a, b| a | b);
-    let u_s = mask_of(&|i| in_s[i], &use_mask);
-    let d_s = mask_of(&|i| in_s[i], &def_mask);
-    let u_ld = mask_of(&|i| ld[i], &use_mask);
-    let dd = mask_of(&|i| ld[i], &def_mask);
+    let u_c: u64 = h_insts.iter().map(Inst::use_mask).fold(0, |a, b| a | b);
+    let d_c: u64 = h_insts.iter().map(Inst::def_mask).fold(0, |a, b| a | b);
+    let u_s = mask_of(&|i| in_s[i], &Inst::use_mask);
+    let d_s = mask_of(&|i| in_s[i], &Inst::def_mask);
+    let u_ld = mask_of(&|i| ld[i], &Inst::use_mask);
+    let dd = mask_of(&|i| ld[i], &Inst::def_mask);
 
     let in_r = |i: usize, in_x: &[bool]| !ld[i] && !in_s[i] && !in_x[i];
     let mut in_x = vec![false; n];
@@ -211,9 +211,9 @@ fn build_plan(
     loop {
         let mut grew = false;
         for i in 0..n {
-            if in_r(i, &in_x) && def_mask(&body[i]) & needed != 0 {
+            if in_r(i, &in_x) && body[i].def_mask() & needed != 0 {
                 in_x[i] = true;
-                needed |= use_mask(&body[i]);
+                needed |= body[i].use_mask();
                 grew = true;
             }
         }
@@ -229,10 +229,10 @@ fn build_plan(
         return None;
     }
 
-    let u_x = mask_of(&|i| in_x[i], &use_mask);
-    let d_x = mask_of(&|i| in_x[i], &def_mask);
-    let u_y = mask_of(&|i| in_y[i], &use_mask);
-    let d_y = mask_of(&|i| in_y[i], &def_mask);
+    let u_x = mask_of(&|i| in_x[i], &Inst::use_mask);
+    let d_x = mask_of(&|i| in_x[i], &Inst::def_mask);
+    let u_y = mask_of(&|i| in_y[i], &Inst::use_mask);
+    let d_y = mask_of(&|i| in_y[i], &Inst::def_mask);
 
     // The rotation moves X and the test above Y, and the next iteration's
     // slices and loads above Y: every pair it reorders must be register
@@ -254,7 +254,13 @@ fn build_plan(
     // integer bounce register when any destination is FP.
     let loads: Vec<usize> = (0..n).filter(|&i| ld[i]).collect();
     let int_dests: Vec<Reg> = loads.iter().filter_map(|&i| body[i].int_def()).collect();
-    let fp_dests: Vec<FReg> = loads.iter().flat_map(|&i| body[i].fp_defs()).collect();
+    let fp_dests: Vec<FReg> = loads
+        .iter()
+        .filter_map(|&i| match body[i] {
+            Inst::FLoad { fd, .. } => Some(fd),
+            _ => None,
+        })
+        .collect();
     let mut free_int = (1u8..32).filter(|&r| *used_regs & (1 << r) == 0);
     let mut free_fp = (0u8..32).filter(|&f| *used_regs & (1 << (32 + f)) == 0);
     let mut alloc = *used_regs;
@@ -377,7 +383,7 @@ pub fn pipeline_loops(prog: &Program) -> PipelineResult {
     let cfg = Cfg::build(prog);
     let mut used_regs = 0u64;
     for inst in prog.insts() {
-        used_regs |= use_mask(inst) | def_mask(inst);
+        used_regs |= inst.use_mask() | inst.def_mask();
     }
     used_regs |= 1; // r0 is hardwired, never a shadow
                     // r1/r2 are runtime-seeded (tid, nthreads) before the first
@@ -544,7 +550,7 @@ mod tests {
         let seeded = (1u64 << Reg::TID.index()) | (1 << Reg::NTHREADS.index());
         for inst in r.program.insts() {
             assert_eq!(
-                def_mask(inst) & seeded,
+                inst.def_mask() & seeded,
                 0,
                 "seeded register used as a shadow:\n{}",
                 r.program.listing()

@@ -1,34 +1,8 @@
-//! Small register-set helpers shared by the inter-block passes.
-//!
-//! Registers live in a 64-bit mask: bit `r` for integer register `r`
-//! (bit 0, `r0`, is never set — it is hardwired zero and filtered by the
-//! ISA accessors), bit `32 + f` for FP register `f`.
+//! Small instruction-class helpers shared by the optimizer passes.
+//! Register sets are the ISA's 64-bit masks (`Inst::use_mask`,
+//! `Inst::def_mask`).
 
 use mtsim_isa::Inst;
-
-/// Mask of registers read by `inst`.
-pub(crate) fn use_mask(inst: &Inst) -> u64 {
-    let mut m = 0u64;
-    for r in inst.int_uses() {
-        m |= 1u64 << r.index();
-    }
-    for f in inst.fp_uses() {
-        m |= 1u64 << (32 + f.index());
-    }
-    m
-}
-
-/// Mask of registers written by `inst`.
-pub(crate) fn def_mask(inst: &Inst) -> u64 {
-    let mut m = 0u64;
-    if let Some(r) = inst.int_def() {
-        m |= 1u64 << r.index();
-    }
-    for f in inst.fp_defs() {
-        m |= 1u64 << (32 + f.index());
-    }
-    m
-}
 
 /// True for register-only compute instructions: no memory access, no
 /// control transfer, no scheduling side effects. These are the only
@@ -53,7 +27,7 @@ pub(crate) fn is_pure_alu(inst: &Inst) -> bool {
 
 /// True for memory operations that behave like stores to shared memory
 /// under the paper's pessimistic aliasing (footnote 1): stores and
-/// fetch-and-adds. Neither pass ever moves a load across one of these.
+/// fetch-and-adds. No pass ever moves a load across one of these.
 pub(crate) fn is_shared_storelike(inst: &Inst) -> bool {
     inst.is_shared_write() || matches!(inst, Inst::FetchAdd { .. })
 }

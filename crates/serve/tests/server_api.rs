@@ -58,18 +58,18 @@ impl Reply {
     }
 }
 
+/// Reads exactly one response: the head a byte at a time and then the
+/// declared body, so a pipelined reply behind it stays in the socket for
+/// the next call.
 fn read_reply(conn: &mut TcpStream) -> Reply {
     let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = conn.read(&mut buf).expect("read response head");
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        let n = conn.read(&mut byte).expect("read response head");
         assert!(n > 0, "connection closed mid-head: {:?}", String::from_utf8_lossy(&raw));
-        raw.extend_from_slice(&buf[..n]);
-    };
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&raw).into_owned();
     let status: u16 = head
         .split(' ')
         .nth(1)
@@ -86,13 +86,8 @@ fn read_reply(conn: &mut TcpStream) -> Reply {
         .find_map(|l| l.strip_prefix("content-length: "))
         .and_then(|v| v.trim().parse().ok())
         .expect("response must declare content-length");
-    let mut body: Vec<u8> = raw[head_end..].to_vec();
-    while body.len() < length {
-        let n = conn.read(&mut buf).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&buf[..n]);
-    }
-    body.truncate(length);
+    let mut body = vec![0u8; length];
+    conn.read_exact(&mut body).expect("connection closed mid-body");
     Reply { status, content_type, body }
 }
 
