@@ -137,13 +137,22 @@ fn sweep_json_and_csv_snapshots() {
 
 /// The text flame table (DESIGN.md §17) on Table 2's smallest
 /// configuration: the first paper app at `Tiny` scale, 2 processors × 2
-/// threads, switch-on-load. Attribution is a pure function of the
-/// deterministic simulation, so the rendered bytes are stable.
+/// threads. The switch-on-load table comes first; one block per other
+/// model follows, so the recorder path of every model and both steppers
+/// is pinned. Attribution is a pure function of the deterministic
+/// simulation, so the rendered bytes are stable.
 #[test]
 fn flame_table_tiny_snapshot() {
     let kind = AppKind::ALL[0];
     let app = build_app(kind, Scale::Tiny, 4);
-    let cfg = MachineConfig::new(SwitchModel::SwitchOnLoad, 2, 2);
-    let (_, rec) = profile_app(&app, cfg, 64).expect("flame-table run");
-    check_golden("flame_table.txt", &rec.flame_table());
+    let table = |model| {
+        let cfg = MachineConfig::new(model, 2, 2);
+        let (_, rec) = profile_app(&app, cfg, 64).expect("flame-table run");
+        rec.flame_table()
+    };
+    let mut out = table(SwitchModel::SwitchOnLoad);
+    for model in SwitchModel::ALL.into_iter().filter(|&m| m != SwitchModel::SwitchOnLoad) {
+        out.push_str(&format!("\n== {model} ==\n{}", table(model)));
+    }
+    check_golden("flame_table.txt", &out);
 }
