@@ -24,7 +24,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mtsim_apps::{build_app, AppKind, Scale};
-use mtsim_core::{Machine, MachineConfig, MachineScratch, NoopRecorder, SwitchModel};
+use mtsim_core::{
+    DecodedProgram, Machine, MachineConfig, MachineScratch, NoopRecorder, SwitchModel,
+};
 use mtsim_opt::group_shared_loads;
 use mtsim_sweep::json::JsonBuilder;
 
@@ -80,24 +82,26 @@ fn main() {
         // The one-time pre-decode cost, paid per distinct program at
         // artifact-build time in real sweeps.
         let d0 = Instant::now();
-        black_box(mtsim_core::DecodedProgram::decode(&program));
+        let decoded = black_box(DecodedProgram::decode(&program));
         decode_secs += d0.elapsed().as_secs_f64();
         decodes += 1;
 
         let cfg = MachineConfig::new(pt.model, pt.procs, pt.threads);
         let mut scratch = MachineScratch::new();
         let key = 0xE17;
-        // Warm-up run: fills the scratch, faults in the program image.
-        let (m, _) =
-            Machine::try_new_reusing(cfg.clone(), &program, app.shared.clone(), key, &mut scratch)
-                .expect("valid config");
+        let build = |shared, scratch: &mut MachineScratch| {
+            Machine::try_new_predecoded(cfg.clone(), &program, &decoded, shared, key, scratch)
+                .expect("valid config")
+                .0
+        };
+        // Warm-up run: fills the scratch.
+        let m = build(app.shared.clone(), &mut scratch);
         m.run_reusing(&mut NoopRecorder, key, &mut scratch).expect("bench run");
 
         for _ in 0..REPS {
             let shared = app.shared.clone();
             let t0 = Instant::now();
-            let (m, _) = Machine::try_new_reusing(cfg.clone(), &program, shared, key, &mut scratch)
-                .expect("valid config");
+            let m = build(shared, &mut scratch);
             let run = m.run_reusing(&mut NoopRecorder, key, &mut scratch).expect("bench run");
             run_secs += t0.elapsed().as_secs_f64();
             sim_cycles += run.result.cycles;

@@ -14,8 +14,16 @@
 //! struct-of-arrays state, and interleaves processors through an
 //! [`EventQueue`] whose pops *jump* the global clock over idle gaps
 //! rather than ticking through them.
+//!
+//! Step context: a machine is its processors plus one [`Sys`] holding
+//! everything else. Each processor step borrows the two halves —
+//! `(&mut Sys, &mut Proc, p)` — and both scheduling policies (the
+//! switching models' run-until-yield and SMT's per-cycle issue) share one
+//! guard, fetch, deadlock and halt path and one [`exec`].
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::decode::{DInst, DecodedProgram};
 use crate::events::EventQueue;
@@ -42,7 +50,7 @@ struct Counters {
     /// the deadlock detector's clock.
     mutations: u64,
     /// Set when a thread's spin loop was just proven periodic — tells
-    /// `step_proc` to run the machine-wide deadlock scan.
+    /// the stepper to run the machine-wide deadlock scan.
     spin_confirm: bool,
 }
 
@@ -57,6 +65,55 @@ struct Proc {
     /// each cycle so no ready context can monopolize the lanes. Unused by
     /// the switching models (they rotate through `queue`).
     rr: usize,
+}
+
+/// Everything a processor step touches besides the processor itself —
+/// the system half of the `tick(now, &mut System)` split.
+#[derive(Debug)]
+struct Sys {
+    config: MachineConfig,
+    /// The pre-decoded program the hot loop executes.
+    decoded: DecodedProgram,
+    shared: SharedMemory,
+    threads: Threads,
+    caches: Option<CoherentCaches>,
+    traffic: Traffic,
+    run_lengths: RunLengthHist,
+    counters: Counters,
+    trace: Option<Vec<TraceEvent>>,
+    fault: Option<FaultPlan>,
+    /// Present only when a contention topology (or combining) is
+    /// configured; `None` leaves the paper's constant-latency path —
+    /// and every existing golden number — untouched.
+    net: Option<Network>,
+    /// External cancel token, polled from the step loop. `None` (the
+    /// default) costs one predictable branch per step; a supervisor that
+    /// sets the flag turns the run into [`SimError::Cancelled`].
+    cancel: Option<Arc<AtomicBool>>,
+}
+
+impl Sys {
+    /// Base round-trip latency of a shared access: zero on the ideal
+    /// machine, the configured constant otherwise.
+    fn latency(&self) -> u64 {
+        if self.config.model == SwitchModel::Ideal {
+            0
+        } else {
+            self.config.latency
+        }
+    }
+}
+
+/// One shared access as the trace, network, fault and recorder paths
+/// see it.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    t0: u64,
+    p: usize,
+    tid: usize,
+    pc: Pc,
+    addr: u64,
+    spin: bool,
 }
 
 enum Outcome {
@@ -90,28 +147,8 @@ enum StepOut {
 /// ```
 #[derive(Debug)]
 pub struct Machine {
-    config: MachineConfig,
-    program: Program,
-    /// The pre-decoded form the hot loop actually executes (same length
-    /// as `program`; kept in lockstep by construction).
-    decoded: DecodedProgram,
-    shared: SharedMemory,
-    threads: Threads,
+    sys: Sys,
     procs: Vec<Proc>,
-    caches: Option<CoherentCaches>,
-    traffic: Traffic,
-    run_lengths: RunLengthHist,
-    counters: Counters,
-    trace: Option<Vec<TraceEvent>>,
-    fault: Option<FaultPlan>,
-    /// Present only when a contention topology (or combining) is
-    /// configured; `None` leaves the paper's constant-latency path —
-    /// and every existing golden number — untouched.
-    net: Option<Network>,
-    /// External cancel token, polled from the step loop. `None` (the
-    /// default) costs one predictable branch per step; a supervisor that
-    /// sets the flag turns the run into [`SimError::Cancelled`].
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 /// A completed run: statistics plus the final shared-memory image (for
@@ -154,11 +191,12 @@ pub struct LeanRun {
 }
 
 /// Recyclable machine buffers: the per-thread state (dominated by each
-/// thread's local memory vector) and the program image from a finished
-/// run, keyed by a caller-chosen artifact identity. A worker thread that
-/// runs many same-shaped grid points keeps one of these; consecutive
-/// [`Machine::try_new_reusing`] / [`Machine::run_reusing`] pairs with a
-/// stable key then allocate no thread state and clone no program.
+/// thread's local memory vector) from a finished run, keyed by a
+/// caller-chosen artifact identity. A worker thread that runs many
+/// same-shaped grid points keeps one of these; consecutive
+/// [`Machine::try_new_predecoded`] / [`Machine::run_reusing`] pairs with
+/// a stable key then allocate no thread state. No program image is
+/// parked: the caller supplies the decoded program on every build.
 ///
 /// The scratch holds at most one parked machine — sweeps iterate grids
 /// in axis order, so consecutive jobs on a worker overwhelmingly share
@@ -167,10 +205,6 @@ pub struct LeanRun {
 pub struct MachineScratch {
     key: u64,
     threads: Threads,
-    program: Option<Program>,
-    /// Parked together with `program` (the key contract covers both: an
-    /// equal key implies the identical program, hence identical decode).
-    decoded: Option<DecodedProgram>,
 }
 
 impl MachineScratch {
@@ -212,47 +246,28 @@ impl Machine {
         program: &Program,
         shared: SharedMemory,
     ) -> Result<Machine, SimError> {
+        let decoded = DecodedProgram::decode(program);
         let mut scratch = MachineScratch::new();
-        Machine::try_new_reusing(config, program, shared, 0, &mut scratch).map(|(m, _)| m)
+        Machine::try_new_predecoded(config, program, &decoded, shared, 0, &mut scratch)
+            .map(|(m, _)| m)
     }
 
-    /// Builds a machine like [`Machine::try_new`], but recycling the
-    /// allocation-heavy buffers (per-thread local memories, the program
-    /// image) parked in `scratch` by a previous [`Machine::run_reusing`]
-    /// call when the caller-chosen `key` matches. Returns the machine and
-    /// whether buffers were actually reused.
-    ///
-    /// The key contract: **equal non-zero keys imply an identical
-    /// program.** Shape (thread count, local words) is re-derived from
-    /// `config`/`program` either way, so a colliding key with a
-    /// different shape costs allocations, never correctness — but a
-    /// colliding key with a *different program* would silently run the
-    /// wrong code. Key 0 never reuses (and never stashes a reusable
-    /// program identity), which is how [`Machine::try_new`] gets the
-    /// allocate-fresh behavior.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] when
-    /// [`MachineConfig::try_validate`] fails.
-    pub fn try_new_reusing(
-        config: MachineConfig,
-        program: &Program,
-        shared: SharedMemory,
-        key: u64,
-        scratch: &mut MachineScratch,
-    ) -> Result<(Machine, bool), SimError> {
-        Machine::try_new_inner(config, program, None, shared, key, scratch)
-    }
-
-    /// Builds a machine like [`Machine::try_new_reusing`], but with the
-    /// program's decode supplied by the caller instead of recomputed —
-    /// the artifact-cache path: `mtsim-sweep` decodes each built program
+    /// Builds a machine like [`Machine::try_new`], with the program's
+    /// decode supplied by the caller instead of recomputed — the
+    /// artifact-cache path: `mtsim-sweep` decodes each built program
     /// once and every grid point that runs it clones the shared table
-    /// (an `Arc` bump) rather than re-deriving it.
+    /// (an `Arc` bump) rather than re-deriving it. `decoded` must be the
+    /// decode of `program`; the pairing is the caller's contract,
+    /// checked under `debug-invariants`.
     ///
-    /// `decoded` must be the decode of `program`; the pairing is the
-    /// caller's contract, checked under `debug-invariants`.
+    /// The build also recycles the per-thread buffers parked in
+    /// `scratch` by a previous [`Machine::run_reusing`] call when the
+    /// caller-chosen `key` matches, and returns whether it did. The key
+    /// contract: **equal non-zero keys imply an identical program.**
+    /// Shape (thread count, local words) is re-derived from
+    /// `config`/`program` either way, so a colliding key costs
+    /// allocations, never correctness. Key 0 never reuses, which is how
+    /// [`Machine::try_new`] gets the allocate-fresh behavior.
     ///
     /// # Errors
     ///
@@ -266,37 +281,22 @@ impl Machine {
         key: u64,
         scratch: &mut MachineScratch,
     ) -> Result<(Machine, bool), SimError> {
-        Machine::try_new_inner(config, program, Some(decoded), shared, key, scratch)
-    }
-
-    fn try_new_inner(
-        config: MachineConfig,
-        program: &Program,
-        predecoded: Option<&DecodedProgram>,
-        shared: SharedMemory,
-        key: u64,
-        scratch: &mut MachineScratch,
-    ) -> Result<(Machine, bool), SimError> {
         config.try_validate().map_err(|detail| SimError::Config { detail })?;
-        let nthreads = config.total_threads();
-        let local_words = config.local_mem_words.max(program.local_words());
-        let reused = key != 0 && scratch.key == key && scratch.program.is_some();
-        let (program, decoded, mut threads) = if reused {
-            let program = scratch.program.take().expect("key match implies a stashed program");
-            let decoded = scratch.decoded.take().expect("program and decode are parked together");
-            scratch.key = 0;
-            (program, decoded, std::mem::take(&mut scratch.threads))
-        } else {
-            let program = program.clone();
-            let decoded = predecoded.cloned().unwrap_or_else(|| DecodedProgram::decode(&program));
-            (program, decoded, Threads::new())
-        };
         #[cfg(feature = "debug-invariants")]
         assert_eq!(
             decoded.len(),
             program.len(),
             "decoded program does not match the program image"
         );
+        let nthreads = config.total_threads();
+        let local_words = config.local_mem_words.max(program.local_words());
+        let reused = key != 0 && scratch.key == key;
+        let mut threads = if reused {
+            scratch.key = 0;
+            std::mem::take(&mut scratch.threads)
+        } else {
+            Threads::new()
+        };
         threads.reset(nthreads, local_words);
         let procs = (0..config.processors)
             .map(|p| Proc {
@@ -315,13 +315,11 @@ impl Machine {
             .net
             .is_active()
             .then(|| Network::new(config.net, config.processors, config.latency));
-        let machine = Machine {
+        let sys = Sys {
             config,
-            program,
-            decoded,
+            decoded: decoded.clone(),
             shared,
             threads,
-            procs,
             caches,
             traffic: Traffic::new(),
             run_lengths: RunLengthHist::new(),
@@ -331,7 +329,7 @@ impl Machine {
             net,
             cancel: None,
         };
-        Ok((machine, reused))
+        Ok((Machine { sys, procs }, reused))
     }
 
     /// Attaches an external cancel token. A supervisor thread (e.g. the
@@ -341,17 +339,14 @@ impl Machine {
     /// Without a token the poll compiles to a single never-taken branch,
     /// so undecorated runs stay on the measured fast path.
     #[must_use]
-    pub fn with_cancel_token(
-        mut self,
-        token: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    ) -> Machine {
-        self.cancel = Some(token);
+    pub fn with_cancel_token(mut self, token: Arc<AtomicBool>) -> Machine {
+        self.sys.cancel = Some(token);
         self
     }
 
     /// The machine's configuration.
     pub fn config(&self) -> &MachineConfig {
-        &self.config
+        &self.sys.config
     }
 
     /// Runs all threads to completion.
@@ -384,7 +379,7 @@ impl Machine {
     ///
     /// Exactly as [`Machine::run`].
     pub fn run_with<R: Recorder>(self, rec: &mut R) -> Result<FinishedRun, SimError> {
-        let (result, shared, threads, _, _) = self.run_to_completion(rec)?;
+        let (result, shared, threads) = self.run_to_completion(rec)?;
         let threads = threads
             .cold
             .into_iter()
@@ -394,14 +389,13 @@ impl Machine {
     }
 
     /// Runs to completion like [`Machine::run_with`], then parks the
-    /// machine's reusable buffers in `scratch` under `key` so the next
-    /// [`Machine::try_new_reusing`] call with the same key skips the
-    /// per-thread allocations and the program clone. Returns a
-    /// [`LeanRun`] — statistics plus final shared memory, without the
-    /// per-thread architectural images (their buffers are what gets
-    /// recycled). Orchestration layers that only verify shared memory
-    /// use this; `mtsim-check`'s state comparisons need
-    /// [`Machine::run_with`].
+    /// machine's per-thread buffers in `scratch` under `key` so the next
+    /// [`Machine::try_new_predecoded`] call with the same key skips the
+    /// per-thread allocations. Returns a [`LeanRun`] — statistics plus
+    /// final shared memory, without the per-thread architectural images
+    /// (their buffers are what gets recycled). Orchestration layers that
+    /// only verify shared memory use this; `mtsim-check`'s state
+    /// comparisons need [`Machine::run_with`].
     ///
     /// On error nothing is stashed: the failed machine's buffers are
     /// simply dropped, and `scratch` keeps whatever it held before.
@@ -415,12 +409,10 @@ impl Machine {
         key: u64,
         scratch: &mut MachineScratch,
     ) -> Result<LeanRun, SimError> {
-        let (result, shared, threads, program, decoded) = self.run_to_completion(rec)?;
+        let (result, shared, threads) = self.run_to_completion(rec)?;
         if key != 0 {
             scratch.key = key;
             scratch.threads = threads;
-            scratch.program = Some(program);
-            scratch.decoded = Some(decoded);
         }
         Ok(LeanRun { result, shared })
     }
@@ -429,26 +421,28 @@ impl Machine {
     /// hands the result back along with the moved-out buffers, so the
     /// public variants decide whether to image or recycle the threads.
     fn run_to_completion<R: Recorder>(
-        mut self,
+        self,
         rec: &mut R,
-    ) -> Result<(RunResult, SharedMemory, Threads, Program, DecodedProgram), SimError> {
+    ) -> Result<(RunResult, SharedMemory, Threads), SimError> {
+        let Machine { mut sys, mut procs } = self;
         let mut events = EventQueue::new();
-        for p in 0..self.procs.len() {
+        for p in 0..procs.len() {
             events.push(0, p);
         }
         // Skip-ahead loop: each pop *jumps* the popped processor's clock
         // to the event time (idle gaps are never ticked through), and
         // `peek_time` is the horizon it may run ahead of other
         // processors before its next shared access.
-        let smt = self.config.model == SwitchModel::Smt;
+        let smt = sys.config.model == SwitchModel::Smt;
         while let Some((t, p)) = events.pop() {
-            self.procs[p].time = self.procs[p].time.max(t);
+            let proc = &mut procs[p];
+            proc.time = proc.time.max(t);
             let peek = events.peek_time();
             loop {
                 let step = if smt {
-                    self.step_proc_smt(p, peek, rec)?
+                    step_proc_smt(&mut sys, proc, p, peek, rec)?
                 } else {
-                    self.step_proc(p, peek, rec)?
+                    step_proc(&mut sys, proc, p, peek, rec)?
                 };
                 match step {
                     // Strictly earlier than every queued event: a push
@@ -467,9 +461,9 @@ impl Machine {
         }
         #[cfg(feature = "debug-invariants")]
         events.assert_drained();
-        debug_assert!(self.threads.halted.iter().all(|&h| h), "event queue drained early");
+        debug_assert!(sys.threads.halted.iter().all(|&h| h), "event queue drained early");
 
-        let cycles = self.procs.iter().map(|p| p.stats.finish_time).max().unwrap_or(0);
+        let cycles = procs.iter().map(|p| p.stats.finish_time).max().unwrap_or(0);
         if R::ENABLED {
             // End-of-run slack: a processor that finished early idles until
             // the machine-wide completion cycle. Everything before its
@@ -483,9 +477,9 @@ impl Machine {
                 // processor's unfilled issue slots; end-of-run slack is
                 // still whole-processor idle, scaled by W in the
                 // conservation law, not here.
-                let w = self.config.issue_width as u64;
+                let w = sys.config.issue_width as u64;
                 rec.set_issue_width(w);
-                for (p, proc) in self.procs.iter().enumerate() {
+                for (p, proc) in procs.iter().enumerate() {
                     debug_assert!(
                         w * proc.stats.finish_time >= proc.stats.busy,
                         "smt lane overflow: busy {} > {w} lanes × finish {}",
@@ -497,653 +491,577 @@ impl Machine {
                     rec.charge_idle(p, cycles - proc.stats.finish_time);
                 }
             } else {
-                for (p, proc) in self.procs.iter().enumerate() {
+                for (p, proc) in procs.iter().enumerate() {
                     rec.charge_idle(p, cycles - proc.stats.finish_time);
                 }
             }
             rec.finish_run(cycles);
         }
-        let one_line = self
+        let one_line = sys
             .threads
             .cold
             .iter()
             .fold((0, 0), |(h, a), t| (h + t.one_line.hits(), a + t.one_line.accesses()));
         let result = RunResult {
             cycles,
-            per_proc: self.procs.iter().map(|p| p.stats).collect(),
-            run_lengths: self.run_lengths,
-            switches_taken: self.counters.taken,
-            switches_skipped: self.counters.skipped,
-            forced_switches: self.counters.forced,
-            reads_issued: self.counters.reads,
-            traffic: self.traffic,
-            cache: self.caches.as_ref().map(|c| c.total_stats()),
+            per_proc: procs.iter().map(|p| p.stats).collect(),
+            run_lengths: sys.run_lengths,
+            switches_taken: sys.counters.taken,
+            switches_skipped: sys.counters.skipped,
+            forced_switches: sys.counters.forced,
+            reads_issued: sys.counters.reads,
+            traffic: sys.traffic,
+            cache: sys.caches.as_ref().map(|c| c.total_stats()),
             one_line,
-            scoreboard_stalls: self.counters.stalls,
-            instructions: self.counters.instructions,
-            trace: self.trace,
-            net: self.net.as_ref().map(|n| n.stats()),
+            scoreboard_stalls: sys.counters.stalls,
+            instructions: sys.counters.instructions,
+            trace: sys.trace,
+            net: sys.net.as_ref().map(|n| n.stats()),
         };
-        Ok((result, self.shared, self.threads, self.program, self.decoded))
+        Ok((result, sys.shared, sys.threads))
     }
+}
 
-    /// Executes processor `p` from its current time until it must hand
-    /// control back to the event loop.
-    fn step_proc<R: Recorder>(
-        &mut self,
-        p: usize,
-        peek: u64,
-        rec: &mut R,
-    ) -> Result<StepOut, SimError> {
-        // Split borrows once for the whole batch.
-        let config = &self.config;
-        let program = &self.program;
-        let decoded = &self.decoded;
-        let shared = &mut self.shared;
-        let ths = &mut self.threads;
-        let caches = &mut self.caches;
-        let traffic = &mut self.traffic;
-        let run_lengths = &mut self.run_lengths;
-        let counters = &mut self.counters;
-        let trace = &mut self.trace;
-        let fault = &mut self.fault;
-        let net = &mut self.net;
-        let cancel = self.cancel.as_deref();
-        let proc = &mut self.procs[p];
-
+/// Executes processor `p` from its current time until it must hand
+/// control back to the event loop: the switching models' run-until-yield
+/// scheduling policy.
+fn step_proc<R: Recorder>(
+    sys: &mut Sys,
+    proc: &mut Proc,
+    p: usize,
+    peek: u64,
+    rec: &mut R,
+) -> Result<StepOut, SimError> {
+    let mut last_time = proc.time;
+    loop {
         #[cfg(feature = "debug-invariants")]
-        let mut last_time = proc.time;
-        loop {
-            #[cfg(feature = "debug-invariants")]
-            {
-                assert!(
-                    proc.time >= last_time,
-                    "processor {p} clock ran backwards: {} < {last_time}",
-                    proc.time
-                );
-                last_time = proc.time;
-                assert_step_invariants(p, proc, ths, config);
-            }
-            if proc.time > config.max_cycles {
-                return Err(SimError::Watchdog {
-                    max_cycles: config.max_cycles,
-                    halted_threads: ths.halted.iter().filter(|&&h| h).count(),
-                    total_threads: ths.len(),
-                });
-            }
-            if let Some(token) = cancel {
-                if token.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Err(SimError::Cancelled { cycle: proc.time });
-                }
-            }
+        assert_step_invariants(p, proc, &sys.threads, &sys.config);
+        step_guard(sys, proc, p, &mut last_time)?;
 
-            // Pick a thread if none is running: first runnable in
-            // round-robin order.
-            if proc.current.is_none() {
-                if proc.queue.is_empty() {
-                    proc.stats.finish_time = proc.time;
-                    return Ok(StepOut::Done);
+        // Pick a thread if none is running: first runnable in
+        // round-robin order.
+        if proc.current.is_none() {
+            if proc.queue.is_empty() {
+                proc.stats.finish_time = proc.time;
+                return Ok(StepOut::Done);
+            }
+            let ths = &sys.threads;
+            let now = proc.time;
+            // Round-robin over runnable threads; with priority
+            // scheduling enabled, a runnable higher-priority thread
+            // (e.g. one inside a critical region) is taken first.
+            let pick = if sys.config.priority_scheduling {
+                proc.queue
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| ths.wake[t] <= now)
+                    .max_by_key(|&(i, &t)| (ths.prio[t], std::cmp::Reverse(i)))
+                    .map(|(i, _)| i)
+            } else {
+                proc.queue.iter().position(|&t| ths.wake[t] <= now)
+            };
+            match pick {
+                Some(i) => {
+                    proc.current = proc.queue.remove(i);
+                    if R::ENABLED {
+                        rec.event(proc.time, p, proc.current.expect("picked"), EventKind::SwitchIn);
+                    }
                 }
-                let now = proc.time;
-                // Round-robin over runnable threads; with priority
-                // scheduling enabled, a runnable higher-priority thread
-                // (e.g. one inside a critical region) is taken first.
-                let pick = if config.priority_scheduling {
-                    proc.queue
+                None => {
+                    // `min_by_key` keeps the first of equal wakes, so
+                    // the chosen (wake, thread) pair is deterministic
+                    // and the wake value matches the former plain
+                    // `min()` over wake times.
+                    let (wtid, wake) = proc
+                        .queue
                         .iter()
-                        .enumerate()
-                        .filter(|&(_, &t)| ths.wake[t] <= now)
-                        .max_by_key(|&(i, &t)| (ths.prio[t], std::cmp::Reverse(i)))
-                        .map(|(i, _)| i)
-                } else {
-                    proc.queue.iter().position(|&t| ths.wake[t] <= now)
-                };
-                match pick {
-                    Some(i) => {
-                        proc.current = proc.queue.remove(i);
-                        if R::ENABLED {
-                            rec.event(
-                                proc.time,
-                                p,
-                                proc.current.expect("picked"),
-                                EventKind::SwitchIn,
-                            );
-                        }
-                    }
-                    None => {
-                        // `min_by_key` keeps the first of equal wakes, so
-                        // the chosen (wake, thread) pair is deterministic
-                        // and the wake value matches the former plain
-                        // `min()` over wake times.
-                        let (wtid, wake) = proc
-                            .queue
-                            .iter()
-                            .map(|&t| (t, ths.wake[t]))
-                            .min_by_key(|&(_, w)| w)
-                            .expect("nonempty");
-                        // No lost wakeups: a sleep is only legal when every
-                        // resident thread really wakes strictly later.
-                        #[cfg(feature = "debug-invariants")]
-                        assert!(
-                            wake > now,
-                            "lost wakeup on processor {p}: thread runnable at {now} but not picked"
-                        );
-                        // Attribution: the sleep ends when its earliest
-                        // thread wakes, so the whole gap is that thread's
-                        // wait — memory stall (including fault-retry
-                        // backoff, which merely pushes the wake time out),
-                        // lock spin, or barrier wait, as tagged when it
-                        // yielded. True idle is only end-of-run slack.
-                        rec.charge(wtid, ths.cold[wtid].wait, wake - proc.time);
-                        proc.stats.idle += wake - proc.time;
-                        proc.time = wake;
-                        return Ok(StepOut::Reschedule(wake));
-                    }
-                }
-            }
-            let tid = proc.current.expect("current thread");
-
-            // Fast path (DESIGN.md §20): burn through an unbroken run of
-            // local-only instructions without re-entering the scheduler.
-            // Gated off when recording (per-step charges must land) and
-            // under `debug-invariants` (the strict loop asserts every
-            // step); SwitchEveryCycle is excluded because it rotates
-            // after every instruction. Each iteration replays the slow
-            // path's per-instruction order exactly — scoreboard
-            // (reap / purge / stall-in-place), then `exec`'s preamble
-            // (cost, pc, spin reset, register kill), then the semantic
-            // body — with the accounting accumulated and flushed in one
-            // shot, so results are bit-identical. The SwitchOnUse models'
-            // scoreboard hit is *their switch point*: the loop breaks and
-            // hands that instruction back to the slow path untouched
-            // (the ready-purge it re-runs is idempotent).
-            #[cfg(not(feature = "debug-invariants"))]
-            if !R::ENABLED && config.model != SwitchModel::SwitchEveryCycle {
-                let th = &mut ths.cold[tid];
-                let insts = decoded.insts();
-                let mut time = proc.time;
-                let mut busy = 0u64;
-                let mut stall = 0u64;
-                let mut steps = 0u64;
-                let mut fast_err = None;
-                // Bounded so a local-only spin (cost-0 loops included)
-                // still reaches the outer loop's watchdog and cancel
-                // checks at the same observable points as the slow path.
-                while steps < 65_536 {
-                    let Some(di) = insts.get(th.pc as usize) else { break };
-                    if !di.is_local_exec() || time > config.max_cycles {
-                        break;
-                    }
-                    if let Some(token) = cancel {
-                        if token.load(std::sync::atomic::Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    if !th.pending.is_empty() {
-                        if time >= th.outstanding {
-                            th.reap_all_pending();
-                        } else if let Some(ready) =
-                            th.pending_ready_for_masks(time, di.int_use_mask, di.fp_use_mask)
-                        {
-                            if matches!(
-                                config.model,
-                                SwitchModel::SwitchOnUse | SwitchModel::SwitchOnUseMiss
-                            ) {
-                                break;
-                            }
-                            // Contract violation (or deliberate use
-                            // before switch): stall in place.
-                            stall += ready - time;
-                            time = ready;
-                        }
-                    } else {
-                        // Straight-line block: the scoreboard is empty
-                        // and stays empty across local-only fall-through
-                        // instructions (only shared loads add entries),
-                        // so a whole decoded run executes with no
-                        // per-instruction scheduler, scoreboard,
-                        // watchdog, or cancel checks — those hold
-                        // block-entry-to-block-exit. Bodies and
-                        // accounting are the same per-instruction
-                        // sequence as below, so results are identical.
-                        let run = decoded.straight_run(th.pc as usize).min(65_536 - steps as u32);
-                        if run >= 2 {
-                            let start = th.pc as usize;
-                            let mut pc = th.pc;
-                            let mut cycles = 0u64;
-                            for bdi in &insts[start..start + run as usize] {
-                                cycles += bdi.cost as u64;
-                                let pc0 = pc;
-                                pc += 1;
-                                if bdi.resets_spin() {
-                                    th.reset_spin();
-                                }
-                                // `th.pc` is committed after the loop:
-                                // straight-line bodies never read it, and
-                                // a failing instruction reports `pc0`.
-                                if let Err(e) = exec_local(bdi, th, tid, pc0) {
-                                    fast_err = Some(e);
-                                    break;
-                                }
-                            }
-                            th.pc = pc;
-                            time += cycles;
-                            busy += cycles;
-                            th.run_cycles += cycles;
-                            steps += (pc as u64) - (start as u64);
-                            if fast_err.is_some() {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    let pc0 = th.pc;
-                    let c = di.cost as u64;
-                    time += c;
-                    busy += c;
-                    steps += 1;
-                    th.run_cycles += c;
-                    th.pc += 1;
-                    if di.resets_spin() {
-                        th.reset_spin();
-                    }
-                    if !th.pending.is_empty() {
-                        th.kill_pending_masks(di.int_def, di.fp_def_mask);
-                    }
-                    if let Err(e) = exec_local(di, th, tid, pc0) {
-                        fast_err = Some(e);
-                        break;
-                    }
-                }
-                if steps > 0 {
-                    proc.time = time;
-                    proc.stats.busy += busy;
-                    proc.stats.stall += stall;
-                    counters.stalls += stall;
-                    counters.instructions += steps;
-                    if let Some(e) = fast_err {
-                        return Err(e);
-                    }
-                    continue;
-                }
-            }
-
-            let pc = ths.cold[tid].pc;
-            if pc as usize >= program.len() {
-                return Err(SimError::BadProgram {
-                    thread: tid,
-                    pc: pc as u64,
-                    detail: format!(
-                        "program counter ran past the end of the code ({} instructions)",
-                        program.len()
-                    ),
-                });
-            }
-            let di = decoded.inst(pc as usize);
-
-            // Event boundary: shared accesses must execute in global time
-            // order. If we have run ahead of the next event, hand control
-            // back and resume when we are earliest again.
-            if di.is_shared_access() && proc.time > peek {
-                return Ok(StepOut::Reschedule(proc.time));
-            }
-
-            // Split-phase scoreboard: reading an in-flight value.
-            if !ths.cold[tid].pending.is_empty() {
-                let th = &mut ths.cold[tid];
-                if proc.time >= th.outstanding {
-                    th.reap_all_pending();
-                } else if let Some(ready) =
-                    th.pending_ready_for_masks(proc.time, di.int_use_mask, di.fp_use_mask)
-                {
-                    match config.model {
-                        SwitchModel::SwitchOnUse | SwitchModel::SwitchOnUseMiss => {
-                            // This *is* the model's switch point.
-                            let overhead = if config.model.pays_switch_cost() {
-                                config.switch_cost
-                            } else {
-                                0
-                            };
-                            proc.stats.overhead += overhead;
-                            proc.time += overhead;
-                            rec.charge(tid, Cat::SwitchOverhead, overhead);
-                            yield_thread(
-                                proc,
-                                ths,
-                                tid,
-                                ready,
-                                run_lengths,
-                                counters,
-                                p,
-                                SwitchCause::Use,
-                                rec,
-                            );
-                            continue;
-                        }
-                        _ => {
-                            // Contract violation (or deliberate use
-                            // before switch): stall in place.
-                            let wait = ready - proc.time;
-                            proc.stats.stall += wait;
-                            counters.stalls += wait;
-                            rec.charge(tid, Cat::MemoryStall, wait);
-                            proc.time = ready;
-                        }
-                    }
-                }
-            }
-
-            // Execute one instruction.
-            let outcome = exec(
-                config, di, p, tid, ths, proc, shared, caches, traffic, counters, trace, fault,
-                net, rec,
-            )?;
-            // A spin loop was just proven periodic: if every live thread
-            // is in that state (and has seen the latest mutation), nobody
-            // can ever write the words they wait on — a real deadlock.
-            if counters.spin_confirm {
-                counters.spin_confirm = false;
-                if let Some(err) =
-                    detect_deadlock(ths, config.threads_per_proc, counters.mutations, proc.time)
-                {
-                    return Err(err);
-                }
-            }
-            match outcome {
-                Outcome::Continue => {
-                    if config.model == SwitchModel::SwitchEveryCycle {
-                        let wake = proc.time;
-                        yield_thread(
-                            proc,
-                            ths,
-                            tid,
-                            wake,
-                            run_lengths,
-                            counters,
-                            p,
-                            SwitchCause::Rotation,
-                            rec,
-                        );
-                    }
-                }
-                Outcome::Yield { wake, cause } => {
-                    if config.model.pays_switch_cost() {
-                        proc.stats.overhead += config.switch_cost;
-                        proc.time += config.switch_cost;
-                        rec.charge(tid, Cat::SwitchOverhead, config.switch_cost);
-                    }
-                    yield_thread(proc, ths, tid, wake, run_lengths, counters, p, cause, rec);
-                }
-                Outcome::Halt => {
-                    let th = &mut ths.cold[tid];
-                    if th.run_cycles > 0 {
-                        run_lengths.record(th.run_cycles);
-                        rec.sample(Metric::RunLength, th.run_cycles);
-                        th.run_cycles = 0;
-                    }
-                    ths.halted[tid] = true;
-                    proc.current = None;
-                    rec.event(proc.time, p, tid, EventKind::Halt);
+                        .map(|&t| (t, ths.wake[t]))
+                        .min_by_key(|&(_, w)| w)
+                        .expect("nonempty");
+                    // No lost wakeups: a sleep is only legal when every
+                    // resident thread really wakes strictly later.
+                    #[cfg(feature = "debug-invariants")]
+                    assert!(
+                        wake > now,
+                        "lost wakeup on processor {p}: thread runnable at {now} but not picked"
+                    );
+                    // Attribution: the sleep ends when its earliest
+                    // thread wakes, so the whole gap is that thread's
+                    // wait — memory stall (including fault-retry
+                    // backoff, which merely pushes the wake time out),
+                    // lock spin, or barrier wait, as tagged when it
+                    // yielded. True idle is only end-of-run slack.
+                    rec.charge(wtid, ths.cold[wtid].wait, wake - proc.time);
+                    proc.stats.idle += wake - proc.time;
+                    proc.time = wake;
+                    return Ok(StepOut::Reschedule(wake));
                 }
             }
         }
-    }
+        let tid = proc.current.expect("current thread");
 
-    /// Executes processor `p` under [`SwitchModel::Smt`]: a per-cycle
-    /// issue loop instead of the switching models' run-until-yield
-    /// scheduler (DESIGN.md §22).
-    ///
-    /// Lane-occupancy model: every thread executes its issued instruction
-    /// to completion on a functional-unit lane, so at time `now` a thread
-    /// with `wake > now` *is* a busy lane (wake is only ever set to
-    /// issue-time + cost). Each cycle the scan counts busy lanes, collects
-    /// threads that are awake, in-bounds, and scoreboard-clear, and issues
-    /// up to `issue_width − busy_lanes` of them in round-robin order from
-    /// the `rr` cursor. A thread whose operand is still in flight simply
-    /// does not compete that cycle — nothing yields, nothing pays a switch
-    /// cost, and the scheduler queue is never touched (residents stay
-    /// parked in `queue`; `current` stays `None`).
-    ///
-    /// Time only advances in the wait path (no ready thread or no free
-    /// lane), jumping straight to the earliest wake/scoreboard-ready time,
-    /// so `proc.stats.idle` is never charged mid-run: a gap with no ready
-    /// thread can still have lanes draining earlier multi-cycle issues,
-    /// and the unfilled-slot residual is computed once at end of run
-    /// (`W × finish − busy`) by `run_to_completion`.
-    fn step_proc_smt<R: Recorder>(
-        &mut self,
-        p: usize,
-        peek: u64,
-        rec: &mut R,
-    ) -> Result<StepOut, SimError> {
-        let config = &self.config;
-        let program = &self.program;
-        let decoded = &self.decoded;
-        let shared = &mut self.shared;
-        let ths = &mut self.threads;
-        let caches = &mut self.caches;
-        let traffic = &mut self.traffic;
-        let run_lengths = &mut self.run_lengths;
-        let counters = &mut self.counters;
-        let trace = &mut self.trace;
-        let fault = &mut self.fault;
-        let net = &mut self.net;
-        let cancel = self.cancel.as_deref();
-        let proc = &mut self.procs[p];
-
-        let tpp = config.threads_per_proc;
-        let lo = p * tpp;
-        let width = config.issue_width;
-        let mut ready: Vec<usize> = Vec::with_capacity(tpp);
-
-        #[cfg(feature = "debug-invariants")]
-        let mut last_time = proc.time;
-        loop {
-            #[cfg(feature = "debug-invariants")]
-            {
-                assert!(
-                    proc.time >= last_time,
-                    "processor {p} clock ran backwards: {} < {last_time}",
-                    proc.time
-                );
-                last_time = proc.time;
-            }
-            if proc.time > config.max_cycles {
-                return Err(SimError::Watchdog {
-                    max_cycles: config.max_cycles,
-                    halted_threads: ths.halted.iter().filter(|&&h| h).count(),
-                    total_threads: ths.len(),
-                });
-            }
-            if let Some(token) = cancel {
-                if token.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Err(SimError::Cancelled { cycle: proc.time });
+        // Fast path (DESIGN.md §20): burn through an unbroken run of
+        // local-only instructions without re-entering the scheduler.
+        // Gated off when recording (per-step charges must land) and
+        // under `debug-invariants` (the strict loop asserts every
+        // step); SwitchEveryCycle is excluded because it rotates
+        // after every instruction. Each iteration replays the slow
+        // path's per-instruction order exactly — scoreboard
+        // (reap / purge / stall-in-place), then `exec`'s preamble
+        // (cost, pc, spin reset, register kill), then the semantic
+        // body — with the accounting accumulated and flushed in one
+        // shot, so results are bit-identical. The SwitchOnUse models'
+        // scoreboard hit is *their switch point*: the loop breaks and
+        // hands that instruction back to the slow path untouched
+        // (the ready-purge it re-runs is idempotent).
+        #[cfg(not(feature = "debug-invariants"))]
+        if !R::ENABLED && sys.config.model != SwitchModel::SwitchEveryCycle {
+            let config = &sys.config;
+            let decoded = &sys.decoded;
+            let cancel = sys.cancel.as_deref();
+            let th = &mut sys.threads.cold[tid];
+            let insts = decoded.insts();
+            let mut time = proc.time;
+            let mut busy = 0u64;
+            let mut stall = 0u64;
+            let mut steps = 0u64;
+            let mut fast_err = None;
+            // Bounded so a local-only spin (cost-0 loops included)
+            // still reaches the outer loop's watchdog and cancel
+            // checks at the same observable points as the slow path.
+            while steps < 65_536 {
+                let Some(di) = insts.get(th.pc as usize) else { break };
+                if !di.is_local_exec() || time > config.max_cycles {
+                    break;
                 }
-            }
-            let now = proc.time;
-            // Whole-cycle global-order guard: a cycle may contain shared
-            // accesses, so it only runs while this processor is earliest.
-            if now > peek {
-                return Ok(StepOut::Reschedule(now));
-            }
-
-            // Per-cycle scan, round-robin from the cursor: count busy
-            // lanes, find the earliest future wake/ready time, and collect
-            // issuable threads.
-            ready.clear();
-            let mut busy_lanes = 0usize;
-            let mut earliest = u64::MAX;
-            let mut live = 0usize;
-            for k in 0..tpp {
-                let tid = lo + (proc.rr + k) % tpp;
-                if ths.halted[tid] {
-                    continue;
+                if let Some(token) = cancel {
+                    if token.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                live += 1;
-                if ths.wake[tid] > now {
-                    busy_lanes += 1;
-                    earliest = earliest.min(ths.wake[tid]);
-                    continue;
-                }
-                let pc = ths.cold[tid].pc;
-                if pc as usize >= program.len() {
-                    return Err(SimError::BadProgram {
-                        thread: tid,
-                        pc: pc as u64,
-                        detail: format!(
-                            "program counter ran past the end of the code ({} instructions)",
-                            program.len()
-                        ),
-                    });
-                }
-                let di = decoded.inst(pc as usize);
-                let th = &mut ths.cold[tid];
                 if !th.pending.is_empty() {
-                    if now >= th.outstanding {
+                    if time >= th.outstanding {
                         th.reap_all_pending();
-                    } else if let Some(at) =
-                        th.pending_ready_for_masks(now, di.int_use_mask, di.fp_use_mask)
+                    } else if let Some(ready) =
+                        th.pending_ready_for_masks(time, di.int_use_mask, di.fp_use_mask)
                     {
-                        // Operand still in flight: sits out this cycle
-                        // without yielding or occupying a lane.
-                        earliest = earliest.min(at);
+                        if matches!(
+                            config.model,
+                            SwitchModel::SwitchOnUse | SwitchModel::SwitchOnUseMiss
+                        ) {
+                            break;
+                        }
+                        // Contract violation (or deliberate use
+                        // before switch): stall in place.
+                        stall += ready - time;
+                        time = ready;
+                    }
+                } else {
+                    // Straight-line block: the scoreboard is empty
+                    // and stays empty across local-only fall-through
+                    // instructions (only shared loads add entries),
+                    // so a whole decoded run executes with no
+                    // per-instruction scheduler, scoreboard,
+                    // watchdog, or cancel checks — those hold
+                    // block-entry-to-block-exit. Bodies and
+                    // accounting are the same per-instruction
+                    // sequence as below, so results are identical.
+                    let run = decoded.straight_run(th.pc as usize).min(65_536 - steps as u32);
+                    if run >= 2 {
+                        let start = th.pc as usize;
+                        let mut pc = th.pc;
+                        let mut cycles = 0u64;
+                        for bdi in &insts[start..start + run as usize] {
+                            cycles += bdi.cost as u64;
+                            let pc0 = pc;
+                            pc += 1;
+                            if bdi.resets_spin() {
+                                th.reset_spin();
+                            }
+                            // `th.pc` is committed after the loop:
+                            // straight-line bodies never read it, and
+                            // a failing instruction reports `pc0`.
+                            if let Err(e) = exec_local(bdi, th, tid, pc0) {
+                                fast_err = Some(e);
+                                break;
+                            }
+                        }
+                        th.pc = pc;
+                        time += cycles;
+                        busy += cycles;
+                        th.run_cycles += cycles;
+                        steps += (pc as u64) - (start as u64);
+                        if fast_err.is_some() {
+                            break;
+                        }
                         continue;
                     }
                 }
-                ready.push(tid);
+                let pc0 = th.pc;
+                let c = di.cost as u64;
+                time += c;
+                busy += c;
+                steps += 1;
+                th.run_cycles += c;
+                th.pc += 1;
+                if di.resets_spin() {
+                    th.reset_spin();
+                }
+                if !th.pending.is_empty() {
+                    th.kill_pending_masks(di.int_def, di.fp_def_mask);
+                }
+                if let Err(e) = exec_local(di, th, tid, pc0) {
+                    fast_err = Some(e);
+                    break;
+                }
             }
-
-            if live == 0 {
-                // All residents halted. The drain time of the last issued
-                // instructions (their wake times) is part of the run, just
-                // as the switching models' `proc.time += cost` on the halt
-                // instruction is.
-                let drain = (lo..lo + tpp).map(|t| ths.wake[t]).max().unwrap_or(now).max(now);
-                proc.time = drain;
-                proc.stats.finish_time = drain;
-                return Ok(StepOut::Done);
-            }
-
-            let avail = width.saturating_sub(busy_lanes);
-            if ready.is_empty() || avail == 0 {
-                // Nothing can issue this cycle: jump to the earliest lane
-                // drain or scoreboard arrival. Live threads guarantee the
-                // bound is finite (a live thread is busy, blocked on a
-                // finite reply, or ready — and ready is only unusable when
-                // busy lanes exist).
-                debug_assert!(earliest != u64::MAX, "smt wait with nothing to wait for");
-                proc.time = earliest;
-                if earliest > peek {
-                    return Ok(StepOut::Reschedule(earliest));
+            if steps > 0 {
+                proc.time = time;
+                proc.stats.busy += busy;
+                proc.stats.stall += stall;
+                sys.counters.stalls += stall;
+                sys.counters.instructions += steps;
+                if let Some(e) = fast_err {
+                    return Err(e);
                 }
                 continue;
             }
+        }
 
-            // Issue phase: up to `avail` ready threads execute this cycle.
-            // The scan order already rotates via the cursor; priority
-            // scheduling (§6.2) promotes critical-region threads first
-            // (stable sort keeps the round-robin order within a level).
-            if config.priority_scheduling {
-                ready.sort_by_key(|&t| std::cmp::Reverse(ths.prio[t]));
-            }
-            let first = ready[0];
-            for &tid in ready.iter().take(avail) {
-                let pc = ths.cold[tid].pc;
-                let di = decoded.inst(pc as usize);
-                let cost = di.cost as u64;
-                let outcome = exec(
-                    config, di, p, tid, ths, proc, shared, caches, traffic, counters, trace, fault,
-                    net, rec,
-                )?;
-                // `exec` advanced the clock by `cost` (the switching
-                // models' serial semantics); SMT lanes run concurrently,
-                // so the cycle stays at `now` and the drain is tracked per
-                // thread through its wake time instead.
-                proc.time = now;
-                ths.wake[tid] = now + cost;
-                if counters.spin_confirm {
-                    counters.spin_confirm = false;
-                    if let Some(err) = detect_deadlock(ths, tpp, counters.mutations, now) {
-                        return Err(err);
-                    }
+        let di = sys.decoded.inst(checked_pc(sys, tid)?);
+
+        // Event boundary: shared accesses must execute in global time
+        // order. If we have run ahead of the next event, hand control
+        // back and resume when we are earliest again.
+        if di.is_shared_access() && proc.time > peek {
+            return Ok(StepOut::Reschedule(proc.time));
+        }
+
+        // Split-phase scoreboard: reading an in-flight value.
+        let th = &mut sys.threads.cold[tid];
+        if !th.pending.is_empty() {
+            if proc.time >= th.outstanding {
+                th.reap_all_pending();
+            } else if let Some(ready) =
+                th.pending_ready_for_masks(proc.time, di.int_use_mask, di.fp_use_mask)
+            {
+                if matches!(
+                    sys.config.model,
+                    SwitchModel::SwitchOnUse | SwitchModel::SwitchOnUseMiss
+                ) {
+                    // This *is* the model's switch point.
+                    yield_thread(sys, proc, p, ready, SwitchCause::Use, rec);
+                    continue;
                 }
-                match outcome {
-                    Outcome::Continue => {}
-                    Outcome::Halt => {
-                        let th = &mut ths.cold[tid];
-                        if th.run_cycles > 0 {
-                            run_lengths.record(th.run_cycles);
-                            rec.sample(Metric::RunLength, th.run_cycles);
-                            th.run_cycles = 0;
-                        }
-                        ths.halted[tid] = true;
-                        rec.event(now, p, tid, EventKind::Halt);
-                    }
-                    Outcome::Yield { .. } => {
-                        unreachable!("the smt model never yields a context")
-                    }
+                // Contract violation (or deliberate use before switch):
+                // stall in place.
+                let wait = ready - proc.time;
+                proc.stats.stall += wait;
+                sys.counters.stalls += wait;
+                rec.charge(tid, Cat::MemoryStall, wait);
+                proc.time = ready;
+            }
+        }
+
+        // Execute one instruction.
+        let outcome = exec(sys, proc, p, tid, rec)?;
+        check_deadlock(sys, proc.time)?;
+        match outcome {
+            Outcome::Continue => {
+                if sys.config.model == SwitchModel::SwitchEveryCycle {
+                    let wake = proc.time;
+                    yield_thread(sys, proc, p, wake, SwitchCause::Rotation, rec);
                 }
             }
-            // Fairness: start the next cycle's scan just past this
-            // cycle's first issuer.
-            proc.rr = (first - lo + 1) % tpp;
+            Outcome::Yield { wake, cause } => yield_thread(sys, proc, p, wake, cause, rec),
+            Outcome::Halt => halt(sys, proc, p, tid, rec),
         }
     }
 }
 
-/// Rotates `tid` to the back of the round-robin queue.
-#[allow(clippy::too_many_arguments)]
-fn yield_thread<R: Recorder>(
+/// Executes processor `p` under [`SwitchModel::Smt`]: a per-cycle
+/// issue loop instead of the switching models' run-until-yield
+/// scheduler (DESIGN.md §22).
+///
+/// Lane-occupancy model: every thread executes its issued instruction
+/// to completion on a functional-unit lane, so at time `now` a thread
+/// with `wake > now` *is* a busy lane (wake is only ever set to
+/// issue-time + cost). Each cycle the scan counts busy lanes, collects
+/// threads that are awake, in-bounds, and scoreboard-clear, and issues
+/// up to `issue_width − busy_lanes` of them in round-robin order from
+/// the `rr` cursor. A thread whose operand is still in flight simply
+/// does not compete that cycle — nothing yields, nothing pays a switch
+/// cost, and the scheduler queue is never touched (residents stay
+/// parked in `queue`; `current` stays `None`).
+///
+/// Time only advances in the wait path (no ready thread or no free
+/// lane), jumping straight to the earliest wake/scoreboard-ready time,
+/// so `proc.stats.idle` is never charged mid-run: a gap with no ready
+/// thread can still have lanes draining earlier multi-cycle issues,
+/// and the unfilled-slot residual is computed once at end of run
+/// (`W × finish − busy`) by `run_to_completion`.
+fn step_proc_smt<R: Recorder>(
+    sys: &mut Sys,
     proc: &mut Proc,
-    ths: &mut Threads,
-    tid: usize,
-    wake: u64,
-    run_lengths: &mut RunLengthHist,
-    counters: &mut Counters,
     p: usize,
-    cause: SwitchCause,
+    peek: u64,
     rec: &mut R,
-) {
-    let th = &mut ths.cold[tid];
+) -> Result<StepOut, SimError> {
+    let tpp = sys.config.threads_per_proc;
+    let lo = p * tpp;
+    let width = sys.config.issue_width;
+    let mut ready: Vec<usize> = Vec::with_capacity(tpp);
+
+    let mut last_time = proc.time;
+    loop {
+        step_guard(sys, proc, p, &mut last_time)?;
+        let now = proc.time;
+        // Whole-cycle global-order guard: a cycle may contain shared
+        // accesses, so it only runs while this processor is earliest.
+        if now > peek {
+            return Ok(StepOut::Reschedule(now));
+        }
+
+        // Per-cycle scan, round-robin from the cursor: count busy
+        // lanes, find the earliest future wake/ready time, and collect
+        // issuable threads.
+        ready.clear();
+        let mut busy_lanes = 0usize;
+        let mut earliest = u64::MAX;
+        let mut live = 0usize;
+        for k in 0..tpp {
+            let tid = lo + (proc.rr + k) % tpp;
+            if sys.threads.halted[tid] {
+                continue;
+            }
+            live += 1;
+            if sys.threads.wake[tid] > now {
+                busy_lanes += 1;
+                earliest = earliest.min(sys.threads.wake[tid]);
+                continue;
+            }
+            let di = sys.decoded.inst(checked_pc(sys, tid)?);
+            let th = &mut sys.threads.cold[tid];
+            if !th.pending.is_empty() {
+                if now >= th.outstanding {
+                    th.reap_all_pending();
+                } else if let Some(at) =
+                    th.pending_ready_for_masks(now, di.int_use_mask, di.fp_use_mask)
+                {
+                    // Operand still in flight: sits out this cycle
+                    // without yielding or occupying a lane.
+                    earliest = earliest.min(at);
+                    continue;
+                }
+            }
+            ready.push(tid);
+        }
+
+        if live == 0 {
+            // All residents halted. The drain time of the last issued
+            // instructions (their wake times) is part of the run, just
+            // as the switching models' `proc.time += cost` on the halt
+            // instruction is.
+            let drain = (lo..lo + tpp).map(|t| sys.threads.wake[t]).max().unwrap_or(now).max(now);
+            proc.time = drain;
+            proc.stats.finish_time = drain;
+            return Ok(StepOut::Done);
+        }
+
+        let avail = width.saturating_sub(busy_lanes);
+        if ready.is_empty() || avail == 0 {
+            // Nothing can issue this cycle: jump to the earliest lane
+            // drain or scoreboard arrival. Live threads guarantee the
+            // bound is finite (a live thread is busy, blocked on a
+            // finite reply, or ready — and ready is only unusable when
+            // busy lanes exist).
+            debug_assert!(earliest != u64::MAX, "smt wait with nothing to wait for");
+            proc.time = earliest;
+            if earliest > peek {
+                return Ok(StepOut::Reschedule(earliest));
+            }
+            continue;
+        }
+
+        // Issue phase: up to `avail` ready threads execute this cycle.
+        // The scan order already rotates via the cursor; priority
+        // scheduling (§6.2) promotes critical-region threads first
+        // (stable sort keeps the round-robin order within a level).
+        if sys.config.priority_scheduling {
+            ready.sort_by_key(|&t| std::cmp::Reverse(sys.threads.prio[t]));
+        }
+        let first = ready[0];
+        for &tid in ready.iter().take(avail) {
+            let cost = sys.decoded.inst(sys.threads.cold[tid].pc as usize).cost as u64;
+            let outcome = exec(sys, proc, p, tid, rec)?;
+            // `exec` advanced the clock by `cost` (the switching
+            // models' serial semantics); SMT lanes run concurrently,
+            // so the cycle stays at `now` and the drain is tracked per
+            // thread through its wake time instead.
+            proc.time = now;
+            sys.threads.wake[tid] = now + cost;
+            check_deadlock(sys, now)?;
+            match outcome {
+                Outcome::Continue => {}
+                Outcome::Halt => halt(sys, proc, p, tid, rec),
+                Outcome::Yield { .. } => unreachable!("the smt model never yields a context"),
+            }
+        }
+        // Fairness: start the next cycle's scan just past this
+        // cycle's first issuer.
+        proc.rr = (first - lo + 1) % tpp;
+    }
+}
+
+/// The checks both steppers run before every step: the clock never runs
+/// backwards within a batch (under `debug-invariants`, tracked through
+/// `last_time`), the simulated-cycle watchdog, and the external cancel
+/// token.
+#[inline]
+fn step_guard(sys: &Sys, proc: &Proc, p: usize, last_time: &mut u64) -> Result<(), SimError> {
+    #[cfg(feature = "debug-invariants")]
+    {
+        assert!(
+            proc.time >= *last_time,
+            "processor {p} clock ran backwards: {} < {last_time}",
+            proc.time
+        );
+        *last_time = proc.time;
+    }
+    #[cfg(not(feature = "debug-invariants"))]
+    let _ = (p, last_time);
+    if proc.time > sys.config.max_cycles {
+        return Err(SimError::Watchdog {
+            max_cycles: sys.config.max_cycles,
+            halted_threads: sys.threads.halted.iter().filter(|&&h| h).count(),
+            total_threads: sys.threads.len(),
+        });
+    }
+    if let Some(token) = &sys.cancel {
+        if token.load(Ordering::Relaxed) {
+            return Err(SimError::Cancelled { cycle: proc.time });
+        }
+    }
+    Ok(())
+}
+
+/// Thread `tid`'s program counter, checked against the end of the code.
+#[inline]
+fn checked_pc(sys: &Sys, tid: usize) -> Result<usize, SimError> {
+    let pc = sys.threads.cold[tid].pc as usize;
+    if pc < sys.decoded.len() {
+        return Ok(pc);
+    }
+    Err(SimError::BadProgram {
+        thread: tid,
+        pc: pc as u64,
+        detail: format!(
+            "program counter ran past the end of the code ({} instructions)",
+            sys.decoded.len()
+        ),
+    })
+}
+
+/// Runs the machine-wide deadlock scan when the step just executed proved
+/// a spin loop periodic. Deadlock is declared only when **every** live
+/// thread holds a periodicity proof that is current (`seen_mutations`
+/// equals the global count — no shared write landed after the proof):
+/// then no live thread can ever store, fetch-add, or halt, so the words
+/// being waited on are frozen forever.
+#[inline]
+fn check_deadlock(sys: &mut Sys, now: u64) -> Result<(), SimError> {
+    if !sys.counters.spin_confirm {
+        return Ok(());
+    }
+    sys.counters.spin_confirm = false;
+    let ths = &sys.threads;
+    let mut waiters = Vec::new();
+    let mut halted = 0usize;
+    for (i, th) in ths.cold.iter().enumerate() {
+        if ths.halted[i] {
+            halted += 1;
+            continue;
+        }
+        if !th.spin_blocked() || th.seen_mutations != sys.counters.mutations {
+            return Ok(());
+        }
+        waiters.push(DeadlockWaiter {
+            thread: i,
+            proc: i / sys.config.threads_per_proc,
+            addr: th.spin_addr.unwrap_or(0),
+            value: th.last_poll_value,
+        });
+    }
+    if waiters.is_empty() {
+        return Ok(());
+    }
+    Err(SimError::Deadlock { cycle: now, halted_threads: halted, waiters })
+}
+
+/// Closes `tid`'s current run: its length since it was switched in goes
+/// into the run-length histogram.
+fn end_run<R: Recorder>(sys: &mut Sys, tid: usize, rec: &mut R) {
+    let th = &mut sys.threads.cold[tid];
     if th.run_cycles > 0 {
-        run_lengths.record(th.run_cycles);
+        sys.run_lengths.record(th.run_cycles);
         rec.sample(Metric::RunLength, th.run_cycles);
         th.run_cycles = 0;
     }
-    ths.wake[tid] = wake;
-    proc.queue.push_back(tid);
+}
+
+/// Retires `tid`, which just executed its `Halt`.
+fn halt<R: Recorder>(sys: &mut Sys, proc: &mut Proc, p: usize, tid: usize, rec: &mut R) {
+    end_run(sys, tid, rec);
+    sys.threads.halted[tid] = true;
     proc.current = None;
-    counters.taken += 1;
+    rec.event(proc.time, p, tid, EventKind::Halt);
+}
+
+/// Switches the running thread out — paying the model's switch cost, if
+/// it has one — and rotates it to the back of the round-robin queue,
+/// runnable again at `wake`.
+fn yield_thread<R: Recorder>(
+    sys: &mut Sys,
+    proc: &mut Proc,
+    p: usize,
+    wake: u64,
+    cause: SwitchCause,
+    rec: &mut R,
+) {
+    let tid = proc.current.take().expect("only a running thread yields");
+    if sys.config.model.pays_switch_cost() {
+        proc.stats.overhead += sys.config.switch_cost;
+        proc.time += sys.config.switch_cost;
+        rec.charge(tid, Cat::SwitchOverhead, sys.config.switch_cost);
+    }
+    end_run(sys, tid, rec);
+    sys.threads.wake[tid] = wake;
+    proc.queue.push_back(tid);
+    sys.counters.taken += 1;
     rec.event(proc.time, p, tid, EventKind::SwitchOut { cause });
 }
 
 /// Issues a blocking shared read under the configured model.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn read_dispatch(
-    config: &MachineConfig,
-    th: &mut Thread,
-    counters: &mut Counters,
+    sys: &mut Sys,
+    tid: usize,
     dests: &[(bool, u8)],
-    cache_hit: bool,
-    oneline_hit: bool,
+    (cache_hit, oneline_hit): (bool, bool),
     reply: u64,
 ) -> Outcome {
-    counters.reads += 1;
+    let config = &sys.config;
+    let th = &mut sys.threads.cold[tid];
+    sys.counters.reads += 1;
     match config.model {
-        // Zero-latency rotation: free, and keeps round-robin fairness so
-        // same-processor spin loops cannot starve their peers.
-        SwitchModel::Ideal => Outcome::Yield { wake: reply, cause: SwitchCause::Load },
-        SwitchModel::SwitchEveryCycle | SwitchModel::SwitchOnLoad => {
+        // Ideal: zero-latency rotation, free, and keeps round-robin
+        // fairness so same-processor spin loops cannot starve their peers.
+        SwitchModel::Ideal | SwitchModel::SwitchEveryCycle | SwitchModel::SwitchOnLoad => {
             Outcome::Yield { wake: reply, cause: SwitchCause::Load }
         }
-        SwitchModel::SwitchOnUse => {
-            push_pending(th, dests, reply);
-            Outcome::Continue
-        }
-        // Split-phase like SwitchOnUse, but a pending use never yields:
-        // the SMT issue loop just skips the thread until the reply lands.
-        SwitchModel::Smt => {
+        // Split-phase; under SMT a pending use never yields either: the
+        // issue loop just skips the thread until the reply lands.
+        SwitchModel::SwitchOnUse | SwitchModel::Smt => {
             push_pending(th, dests, reply);
             Outcome::Continue
         }
@@ -1256,11 +1174,11 @@ fn assert_step_invariants(p: usize, proc: &Proc, ths: &Threads, config: &Machine
 }
 
 /// Executes one *local-only* instruction ([`DInst::is_local_exec`]) on
-/// the current thread: the fast path's semantic core. Each arm is a
-/// verbatim copy of the corresponding [`exec`] arm — same helpers, same
-/// error construction — restricted to instructions that touch nothing
-/// but `th`. The caller has already done the shared accounting (`cost`,
-/// `pc += 1`, spin reset) exactly as `exec`'s preamble does.
+/// the current thread. This is the only implementation of those
+/// instructions: the fast path calls it directly, and [`exec`] falls
+/// through to it after its per-step preamble. Touches nothing but `th`;
+/// the caller has already done the shared accounting (`cost`,
+/// `pc += 1`, spin reset).
 #[inline(never)]
 fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Result<(), SimError> {
     match di.inst {
@@ -1353,51 +1271,34 @@ fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Result<(), Si
         Inst::Jump { target } => th.pc = target.pc(),
         Inst::Nop => {}
         // F_LOCAL_EXEC covers exactly the arms above (pinned by the
-        // decode tests); anything else never reaches the fast path.
-        _ => unreachable!("non-local instruction in fast path: {:?}", di.inst),
+        // decode tests); `exec` handles everything else itself.
+        _ => unreachable!("non-local instruction in exec_local: {:?}", di.inst),
     }
     Ok(())
 }
 
-/// Executes one decoded instruction, advancing the processor clock.
-/// Per-step derived facts (cost, def/use masks, spin classification)
-/// come from the [`DInst`]; the semantic dispatch matches its embedded
-/// [`Inst`].
-#[allow(clippy::too_many_arguments)]
+/// Executes thread `tid`'s next instruction on processor `p`, advancing
+/// the processor clock. Per-step derived facts (cost, def/use masks,
+/// spin classification) come from the [`DInst`]; the shared-memory,
+/// priority and control instructions are handled here, and every
+/// local-only one by [`exec_local`].
 fn exec<R: Recorder>(
-    config: &MachineConfig,
-    di: &DInst,
+    sys: &mut Sys,
+    proc: &mut Proc,
     p: usize,
     tid: usize,
-    ths: &mut Threads,
-    proc: &mut Proc,
-    shared: &mut SharedMemory,
-    caches: &mut Option<CoherentCaches>,
-    traffic: &mut Traffic,
-    counters: &mut Counters,
-    trace: &mut Option<Vec<TraceEvent>>,
-    fault: &mut Option<FaultPlan>,
-    net: &mut Option<Network>,
     rec: &mut R,
 ) -> Result<Outcome, SimError> {
-    let Threads { cold, prio, .. } = ths;
-    let th = &mut cold[tid];
-    let inst = di.inst;
-    let record =
-        |trace: &mut Option<Vec<TraceEvent>>, time: u64, kind: TraceKind, addr: u64, spin: bool| {
-            if let Some(tr) = trace.as_mut() {
-                tr.push(TraceEvent { time, proc: p as u32, thread: tid as u32, kind, addr, spin });
-            }
-        };
+    let th = &mut sys.threads.cold[tid];
+    let di = sys.decoded.inst(th.pc as usize);
     let t0 = proc.time;
     let pc0 = th.pc;
     let c = di.cost as u64;
     proc.time += c;
     proc.stats.busy += c;
     th.run_cycles += c;
-    counters.instructions += 1;
+    sys.counters.instructions += 1;
     rec.charge(tid, Cat::Busy, c);
-    let latency = if config.model == SwitchModel::Ideal { 0 } else { config.latency };
     th.pc += 1;
 
     // Deadlock tracking: an instruction that mutates state outside the
@@ -1415,113 +1316,13 @@ fn exec<R: Recorder>(
         th.kill_pending_masks(di.int_def, di.fp_def_mask);
     }
 
-    match inst {
-        Inst::Alu { op, rd, rs, rt } => {
-            let v = alu(op, th.rget(rs), th.rget(rt));
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::AluI { op, rd, rs, imm } => {
-            let v = alu(op, th.rget(rs), imm);
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::Fpu { op, fd, fs, ft } => {
-            let a = th.fget(fs);
-            let b = th.fget(ft);
-            let v = match op {
-                FpuOp::Add => a + b,
-                FpuOp::Sub => a - b,
-                FpuOp::Mul => a * b,
-                FpuOp::Div => a / b,
-                FpuOp::Min => a.min(b),
-                FpuOp::Max => a.max(b),
-            };
-            th.fset(fd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::FpuCmp { op, rd, fs, ft } => {
-            let a = th.fget(fs);
-            let b = th.fget(ft);
-            let v = match op {
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-            };
-            th.rset(rd, v as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::FLi { fd, val } => {
-            th.fset(fd, val);
-            Ok(Outcome::Continue)
-        }
-        Inst::CvtIF { fd, rs } => {
-            th.fset(fd, th.rget(rs) as f64);
-            Ok(Outcome::Continue)
-        }
-        Inst::CvtFI { rd, fs } => {
-            th.rset(rd, th.fget(fs) as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::MovIF { fd, rs } => {
-            th.fset(fd, f64::from_bits(th.rget(rs) as u64));
-            Ok(Outcome::Continue)
-        }
-        Inst::MovFI { rd, fs } => {
-            th.rset(rd, th.fget(fs).to_bits() as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::FSqrt { fd, fs } => {
-            th.fset(fd, th.fget(fs).sqrt());
-            Ok(Outcome::Continue)
-        }
-
-        Inst::Load { space: Space::Local, rd, base, offset, .. } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = local_read_checked(th, tid, pc0, a)? as i64;
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::Store { space: Space::Local, rs, base, offset, .. } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = th.rget(rs) as u64;
-            local_write_checked(th, tid, pc0, a, v)?;
-            Ok(Outcome::Continue)
-        }
-        Inst::FLoad { space: Space::Local, fd, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = f64::from_bits(local_read_checked(th, tid, pc0, a)?);
-            th.fset(fd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::FStore { space: Space::Local, fs, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = th.fget(fs).to_bits();
-            local_write_checked(th, tid, pc0, a, v)?;
-            Ok(Outcome::Continue)
-        }
-        Inst::LoadPair { space: Space::Local, fd1, fd2, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v1 = f64::from_bits(local_read_checked(th, tid, pc0, a)?);
-            let v2 = f64::from_bits(local_read_checked(th, tid, pc0, a + 1)?);
-            th.fset(fd1, v1);
-            th.fset(fd2, v2);
-            Ok(Outcome::Continue)
-        }
-        Inst::StorePair { space: Space::Local, fs1, fs2, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let (v1, v2) = (th.fget(fs1).to_bits(), th.fget(fs2).to_bits());
-            local_write_checked(th, tid, pc0, a, v1)?;
-            local_write_checked(th, tid, pc0, a + 1, v2)?;
-            Ok(Outcome::Continue)
-        }
-
+    match di.inst {
         Inst::Load { space: Space::Shared, rd, base, offset, hint } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
-            let raw = shared
+            let raw = sys
+                .shared
                 .try_read(addr)
-                .ok_or_else(|| bad_access(tid, pc0, "shared load", addr, shared.len()))?;
+                .ok_or_else(|| bad_access(tid, pc0, "shared load", addr, sys.shared.len()))?;
             let spin = hint.is_poll();
             // Spin-loop polls re-read one address forever. Counting them as
             // one-line hits would let the §5.2 estimator skip every switch
@@ -1531,13 +1332,6 @@ fn exec<R: Recorder>(
             // non-spinning primitive here (paper footnote 2); we model the
             // poll as always going to memory.
             let oneline_hit = if spin { false } else { th.one_line.access(addr) };
-            let cache_hit = if spin {
-                traffic.record_load(1, true);
-                false
-            } else {
-                lookup_cache(caches, p, addr, config, traffic, spin)
-            };
-            record(trace, t0, TraceKind::Read, addr, spin);
             th.rset(rd, raw as i64);
             if R::ENABLED {
                 th.wait = match hint {
@@ -1552,153 +1346,101 @@ fn exec<R: Recorder>(
                 }
             }
             if spin {
-                let mutated = counters.mutations != th.seen_mutations;
-                th.seen_mutations = counters.mutations;
+                let mutated = sys.counters.mutations != th.seen_mutations;
+                th.seen_mutations = sys.counters.mutations;
                 if th.note_spin_poll(addr, raw, t0, mutated) {
-                    counters.spin_confirm = true;
+                    sys.counters.spin_confirm = true;
                 }
             }
-            let shape = load_shape(caches.is_some() && !spin, cache_hit, 1, config);
-            let q0 = net_queue_cycles::<R>(net);
-            let base = net_base(net, latency, t0, p, addr, cache_hit, &shape);
-            if R::ENABLED && !cache_hit {
-                observe_net_queue(rec, net, q0, t0, p, tid, addr);
-            }
-            let reply = reply_time(
-                fault,
-                t0,
-                base,
-                addr,
-                shape,
-                spin,
-                p,
-                tid,
-                pc0,
-                &mut proc.stats,
-                traffic,
-                rec,
-            )?;
-            if R::ENABLED && !cache_hit {
-                rec.sample(Metric::LoadLatency, reply - t0);
-                rec.event(reply, p, tid, EventKind::LoadReply { addr, latency: reply - t0 });
-            }
+            let cache_hit = if spin {
+                sys.traffic.record_load(1, true);
+                false
+            } else {
+                lookup_cache(sys, p, addr)
+            };
+            let a = Access { t0, p, tid, pc: pc0, addr, spin };
+            record(&mut sys.trace, &a, TraceKind::Read);
             let dests = [(false, rd.index() as u8)];
             let dests: &[(bool, u8)] = if rd.is_zero() { &[] } else { &dests };
-            Ok(read_dispatch(config, th, counters, dests, cache_hit, oneline_hit, reply))
+            shared_read(sys, &mut proc.stats, a, 1, (cache_hit, oneline_hit), dests, rec)
         }
         Inst::FLoad { space: Space::Shared, fd, base, offset } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
-            let raw = shared
+            let raw = sys
+                .shared
                 .try_read(addr)
-                .ok_or_else(|| bad_access(tid, pc0, "shared load", addr, shared.len()))?;
+                .ok_or_else(|| bad_access(tid, pc0, "shared load", addr, sys.shared.len()))?;
             let oneline_hit = th.one_line.access(addr);
-            let cache_hit = lookup_cache(caches, p, addr, config, traffic, false);
-            record(trace, t0, TraceKind::Read, addr, false);
             th.fset(fd, f64::from_bits(raw));
             if R::ENABLED {
                 th.wait = Cat::MemoryStall;
                 rec.event(t0, p, tid, EventKind::LoadIssue { addr });
             }
-            let shape = load_shape(caches.is_some(), cache_hit, 1, config);
-            let q0 = net_queue_cycles::<R>(net);
-            let base = net_base(net, latency, t0, p, addr, cache_hit, &shape);
-            if R::ENABLED && !cache_hit {
-                observe_net_queue(rec, net, q0, t0, p, tid, addr);
-            }
-            let reply = reply_time(
-                fault,
-                t0,
-                base,
-                addr,
-                shape,
-                false,
-                p,
-                tid,
-                pc0,
-                &mut proc.stats,
-                traffic,
-                rec,
-            )?;
-            if R::ENABLED && !cache_hit {
-                rec.sample(Metric::LoadLatency, reply - t0);
-                rec.event(reply, p, tid, EventKind::LoadReply { addr, latency: reply - t0 });
-            }
+            let cache_hit = lookup_cache(sys, p, addr);
+            let a = Access { t0, p, tid, pc: pc0, addr, spin: false };
+            record(&mut sys.trace, &a, TraceKind::Read);
             let dests = [(true, fd.index() as u8)];
-            Ok(read_dispatch(config, th, counters, &dests, cache_hit, oneline_hit, reply))
+            shared_read(sys, &mut proc.stats, a, 1, (cache_hit, oneline_hit), &dests, rec)
         }
         Inst::LoadPair { space: Space::Shared, fd1, fd2, base, offset } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
-            let raw1 = shared
+            let len = sys.shared.len();
+            let raw1 = sys
+                .shared
                 .try_read(addr)
-                .ok_or_else(|| bad_access(tid, pc0, "shared load-pair", addr, shared.len()))?;
-            let raw2 = shared
+                .ok_or_else(|| bad_access(tid, pc0, "shared load-pair", addr, len))?;
+            let raw2 = sys
+                .shared
                 .try_read(addr + 1)
-                .ok_or_else(|| bad_access(tid, pc0, "shared load-pair", addr + 1, shared.len()))?;
+                .ok_or_else(|| bad_access(tid, pc0, "shared load-pair", addr + 1, len))?;
             let oneline_hit = th.one_line.access(addr);
-            let cache_hit = if let Some(c) = caches.as_mut() {
-                let h1 = c.load(p, addr);
-                let h2 = c.load(p, addr + 1);
-                if !h1 {
-                    traffic.record_line_fill(config.cache.line_words, false);
-                }
-                if !h2 && addr / config.cache.line_words != (addr + 1) / config.cache.line_words {
-                    traffic.record_line_fill(config.cache.line_words, false);
-                }
-                h1 && h2
-            } else {
-                traffic.record_load(2, false);
-                false
-            };
-            record(trace, t0, TraceKind::ReadPair, addr, false);
             th.fset(fd1, f64::from_bits(raw1));
             th.fset(fd2, f64::from_bits(raw2));
             if R::ENABLED {
                 th.wait = Cat::MemoryStall;
                 rec.event(t0, p, tid, EventKind::LoadIssue { addr });
             }
-            let shape = load_shape(caches.is_some(), cache_hit, 2, config);
-            let q0 = net_queue_cycles::<R>(net);
-            let base = net_base(net, latency, t0, p, addr, cache_hit, &shape);
-            if R::ENABLED && !cache_hit {
-                observe_net_queue(rec, net, q0, t0, p, tid, addr);
-            }
-            let reply = reply_time(
-                fault,
-                t0,
-                base,
-                addr,
-                shape,
-                false,
-                p,
-                tid,
-                pc0,
-                &mut proc.stats,
-                traffic,
-                rec,
-            )?;
-            if R::ENABLED && !cache_hit {
-                rec.sample(Metric::LoadLatency, reply - t0);
-                rec.event(reply, p, tid, EventKind::LoadReply { addr, latency: reply - t0 });
-            }
+            let line = sys.config.cache.line_words;
+            let cache_hit = if let Some(c) = sys.caches.as_mut() {
+                let h1 = c.load(p, addr);
+                let h2 = c.load(p, addr + 1);
+                if !h1 {
+                    sys.traffic.record_line_fill(line, false);
+                }
+                if !h2 && addr / line != (addr + 1) / line {
+                    sys.traffic.record_line_fill(line, false);
+                }
+                h1 && h2
+            } else {
+                sys.traffic.record_load(2, false);
+                false
+            };
+            let a = Access { t0, p, tid, pc: pc0, addr, spin: false };
+            record(&mut sys.trace, &a, TraceKind::ReadPair);
             let dests = [(true, fd1.index() as u8), (true, fd2.index() as u8)];
-            Ok(read_dispatch(config, th, counters, &dests, cache_hit, oneline_hit, reply))
+            shared_read(sys, &mut proc.stats, a, 2, (cache_hit, oneline_hit), &dests, rec)
         }
         Inst::FetchAdd { rd, rs, base, offset, hint } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
             let spin = hint == AccessHint::Spin;
             let inc = th.rget(rs);
-            let old = shared
+            let old = sys
+                .shared
                 .try_fetch_add(addr, inc)
-                .ok_or_else(|| bad_access(tid, pc0, "fetch-and-add", addr, shared.len()))?
+                .ok_or_else(|| bad_access(tid, pc0, "fetch-and-add", addr, sys.shared.len()))?
                 as i64;
-            counters.mutations += 1;
-            traffic.record_fetch_add(spin);
-            if let Some(c) = caches.as_mut() {
-                let inv = c.store(p, addr);
-                traffic.record_invalidations(inv);
-            }
-            record(trace, t0, TraceKind::FetchAdd, addr, spin);
             th.rset(rd, old);
+            if R::ENABLED {
+                th.wait = if spin { Cat::LockSpin } else { Cat::MemoryStall };
+            }
+            sys.counters.mutations += 1;
+            sys.traffic.record_fetch_add(spin);
+            if let Some(c) = sys.caches.as_mut() {
+                let inv = c.store(p, addr);
+                sys.traffic.record_invalidations(inv);
+            }
+            let a = Access { t0, p, tid, pc: pc0, addr, spin };
+            record(&mut sys.trace, &a, TraceKind::FetchAdd);
             let shape = MsgShape {
                 req: MsgClass::FetchAddReq,
                 req_words: 1,
@@ -1708,130 +1450,147 @@ fn exec<R: Recorder>(
             // Every F&A crosses the network (even fire-and-forget ones):
             // it occupies links and, under combining, can merge with or
             // open a combining window for concurrent same-address adds.
-            let q0 = net_queue_cycles::<R>(net);
+            let q0 = net_queue_cycles::<R>(&sys.net);
             let fa0 =
-                if R::ENABLED { net.as_ref().map_or(0, |n| n.stats().fa_combined) } else { 0 };
-            let fa_base = net
+                if R::ENABLED { sys.net.as_ref().map_or(0, |n| n.stats().fa_combined) } else { 0 };
+            let fa_base = sys
+                .net
                 .as_mut()
                 .map(|n| n.fetch_add(t0, p, addr, shape.req_bits(), shape.reply_bits()) - t0);
             if R::ENABLED {
-                th.wait = if hint == AccessHint::Spin { Cat::LockSpin } else { Cat::MemoryStall };
-                let combined = net.as_ref().is_some_and(|n| n.stats().fa_combined > fa0);
+                let combined = sys.net.as_ref().is_some_and(|n| n.stats().fa_combined > fa0);
                 rec.event(t0, p, tid, EventKind::FetchAdd { addr, combined });
                 if hint == AccessHint::Release {
                     rec.event(t0, p, tid, EventKind::BarrierArrive { addr });
                 }
-                observe_net_queue(rec, net, q0, t0, p, tid, addr);
+                observe_net_queue(rec, &sys.net, q0, &a);
             }
             if rd.is_zero() {
                 // Fire-and-forget arrival (barrier-style): no reply is
                 // awaited, so there is nothing for fault injection to drop
                 // that anyone waits on.
-                Ok(match config.model {
-                    SwitchModel::SwitchEveryCycle => {
-                        Outcome::Yield { wake: proc.time, cause: SwitchCause::Rotation }
-                    }
-                    _ => Outcome::Continue,
-                })
-            } else {
-                let reply = reply_time(
-                    fault,
-                    t0,
-                    fa_base.unwrap_or(latency),
-                    addr,
-                    shape,
-                    spin,
-                    p,
-                    tid,
-                    pc0,
-                    &mut proc.stats,
-                    traffic,
-                    rec,
-                )?;
-                if R::ENABLED {
-                    rec.sample(Metric::LoadLatency, reply - t0);
-                    rec.event(reply, p, tid, EventKind::LoadReply { addr, latency: reply - t0 });
-                }
-                let dests = [(false, rd.index() as u8)];
-                // Fetch-and-add always goes to memory: never a cache hit.
-                Ok(read_dispatch(config, th, counters, &dests, false, false, reply))
+                return Ok(Outcome::Continue);
             }
+            let base = fa_base.unwrap_or(sys.latency());
+            let reply = reply_time(sys, &mut proc.stats, &a, base, shape, rec)?;
+            if R::ENABLED {
+                rec.sample(Metric::LoadLatency, reply - t0);
+                rec.event(reply, p, tid, EventKind::LoadReply { addr, latency: reply - t0 });
+            }
+            // Fetch-and-add always goes to memory: never a cache hit.
+            Ok(read_dispatch(sys, tid, &[(false, rd.index() as u8)], (false, false), reply))
         }
 
         Inst::Store { space: Space::Shared, rs, base, offset, hint } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
-            let spin = hint == AccessHint::Spin;
             let v = th.rget(rs) as u64;
-            shared
+            sys.shared
                 .try_write(addr, v)
-                .ok_or_else(|| bad_access(tid, pc0, "shared store", addr, shared.len()))?;
-            counters.mutations += 1;
-            shared_store(config, net, t0, p, addr, caches, traffic, spin, 1, tid, rec);
-            record(trace, t0, TraceKind::Write, addr, spin);
+                .ok_or_else(|| bad_access(tid, pc0, "shared store", addr, sys.shared.len()))?;
+            sys.counters.mutations += 1;
+            let a = Access { t0, p, tid, pc: pc0, addr, spin: hint == AccessHint::Spin };
+            shared_store(sys, &a, 1, rec);
+            record(&mut sys.trace, &a, TraceKind::Write);
             if R::ENABLED && hint == AccessHint::Release {
                 rec.event(t0, p, tid, EventKind::BarrierRelease { addr });
             }
-            Ok(store_outcome(config, proc))
+            Ok(Outcome::Continue)
         }
         Inst::FStore { space: Space::Shared, fs, base, offset } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
             let v = th.fget(fs).to_bits();
-            shared
+            sys.shared
                 .try_write(addr, v)
-                .ok_or_else(|| bad_access(tid, pc0, "shared store", addr, shared.len()))?;
-            counters.mutations += 1;
-            shared_store(config, net, t0, p, addr, caches, traffic, false, 1, tid, rec);
-            record(trace, t0, TraceKind::Write, addr, false);
-            Ok(store_outcome(config, proc))
+                .ok_or_else(|| bad_access(tid, pc0, "shared store", addr, sys.shared.len()))?;
+            sys.counters.mutations += 1;
+            let a = Access { t0, p, tid, pc: pc0, addr, spin: false };
+            shared_store(sys, &a, 1, rec);
+            record(&mut sys.trace, &a, TraceKind::Write);
+            Ok(Outcome::Continue)
         }
         Inst::StorePair { space: Space::Shared, fs1, fs2, base, offset } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
             let (v1, v2) = (th.fget(fs1).to_bits(), th.fget(fs2).to_bits());
-            shared
+            let len = sys.shared.len();
+            sys.shared
                 .try_write(addr, v1)
-                .ok_or_else(|| bad_access(tid, pc0, "shared store-pair", addr, shared.len()))?;
-            shared
+                .ok_or_else(|| bad_access(tid, pc0, "shared store-pair", addr, len))?;
+            sys.shared
                 .try_write(addr + 1, v2)
-                .ok_or_else(|| bad_access(tid, pc0, "shared store-pair", addr + 1, shared.len()))?;
-            counters.mutations += 1;
-            record(trace, t0, TraceKind::WritePair, addr, false);
-            shared_store(config, net, t0, p, addr, caches, traffic, false, 2, tid, rec);
-            if let Some(c) = caches.as_mut() {
-                if addr / config.cache.line_words != (addr + 1) / config.cache.line_words {
+                .ok_or_else(|| bad_access(tid, pc0, "shared store-pair", addr + 1, len))?;
+            sys.counters.mutations += 1;
+            let a = Access { t0, p, tid, pc: pc0, addr, spin: false };
+            record(&mut sys.trace, &a, TraceKind::WritePair);
+            shared_store(sys, &a, 2, rec);
+            let line = sys.config.cache.line_words;
+            if let Some(c) = sys.caches.as_mut() {
+                if addr / line != (addr + 1) / line {
                     let inv = c.store(p, addr + 1);
-                    traffic.record_invalidations(inv);
+                    sys.traffic.record_invalidations(inv);
                 }
             }
-            Ok(store_outcome(config, proc))
+            Ok(Outcome::Continue)
         }
 
-        Inst::Branch { cond, rs, rt, target } => {
-            let a = th.rget(rs);
-            let b = th.rget(rt);
-            let take = match cond {
-                BCond::Eq => a == b,
-                BCond::Ne => a != b,
-                BCond::Lt => a < b,
-                BCond::Le => a <= b,
-                BCond::Gt => a > b,
-                BCond::Ge => a >= b,
-            };
-            if take {
-                th.pc = target.pc();
-            }
-            Ok(Outcome::Continue)
-        }
-        Inst::Jump { target } => {
-            th.pc = target.pc();
-            Ok(Outcome::Continue)
-        }
         Inst::SetPrio { level } => {
-            prio[tid] = level;
+            sys.threads.prio[tid] = level;
             Ok(Outcome::Continue)
         }
-        Inst::Switch => Ok(switch_outcome(config, th, proc, counters)),
+        Inst::Switch => Ok(switch_outcome(&sys.config, th, proc.time, &mut sys.counters)),
         Inst::Halt => Ok(Outcome::Halt),
-        Inst::Nop => Ok(Outcome::Continue),
+        _ => {
+            exec_local(di, th, tid, pc0)?;
+            Ok(Outcome::Continue)
+        }
+    }
+}
+
+/// The tail every shared read shares once its value is in the register
+/// file: message shape, base latency (a modeled network round trip when
+/// a contention topology is active and the read really goes to memory —
+/// cache hits are served locally — otherwise the configured constant),
+/// queue observation, reply time, the reply's latency sample and event,
+/// and the model's dispatch.
+fn shared_read<R: Recorder>(
+    sys: &mut Sys,
+    stats: &mut ProcStats,
+    a: Access,
+    words: u64,
+    (cache_hit, oneline_hit): (bool, bool),
+    dests: &[(bool, u8)],
+    rec: &mut R,
+) -> Result<Outcome, SimError> {
+    let shape = load_shape(sys.caches.is_some() && !a.spin, cache_hit, words, &sys.config);
+    let q0 = net_queue_cycles::<R>(&sys.net);
+    let base = match sys.net.as_mut() {
+        Some(n) if !cache_hit => {
+            n.round_trip(a.t0, a.p, a.addr, shape.req_bits(), shape.reply_bits()) - a.t0
+        }
+        _ => sys.latency(),
+    };
+    if R::ENABLED && !cache_hit {
+        observe_net_queue(rec, &sys.net, q0, &a);
+    }
+    let reply = reply_time(sys, stats, &a, base, shape, rec)?;
+    if R::ENABLED && !cache_hit {
+        rec.sample(Metric::LoadLatency, reply - a.t0);
+        rec.event(reply, a.p, a.tid, EventKind::LoadReply { addr: a.addr, latency: reply - a.t0 });
+    }
+    Ok(read_dispatch(sys, a.tid, dests, (cache_hit, oneline_hit), reply))
+}
+
+/// Appends one shared access to the access trace, when one is collected.
+#[inline]
+fn record(trace: &mut Option<Vec<TraceEvent>>, a: &Access, kind: TraceKind) {
+    if let Some(tr) = trace.as_mut() {
+        tr.push(TraceEvent {
+            time: a.t0,
+            proc: a.p as u32,
+            thread: a.tid as u32,
+            kind,
+            addr: a.addr,
+            spin: a.spin,
+        });
     }
 }
 
@@ -1928,55 +1687,27 @@ fn load_shape(cached: bool, cache_hit: bool, words: u64, config: &MachineConfig)
     }
 }
 
-/// Base (fault-free) reply latency of one shared access: a modeled
-/// network round trip when a contention topology is active and the
-/// access really goes to memory, otherwise the configured constant.
-/// Cache hits are served locally and never touch the network.
-#[inline]
-fn net_base(
-    net: &mut Option<Network>,
-    constant: u64,
-    t0: u64,
-    p: usize,
-    addr: u64,
-    cache_hit: bool,
-    shape: &MsgShape,
-) -> u64 {
-    match net.as_mut() {
-        Some(n) if !cache_hit => {
-            n.round_trip(t0, p, addr, shape.req_bits(), shape.reply_bits()) - t0
-        }
-        _ => constant,
-    }
-}
-
-/// Computes the reply time of one reply-bearing shared request, running
-/// the retry protocol when fault injection is active. Faults are timing
-/// and traffic events only: the value was already taken from shared memory
-/// in global order, so a request that survives its retries observes
-/// exactly what a fault-free run would have.
-#[allow(clippy::too_many_arguments)]
+/// Computes the reply time of one reply-bearing shared request whose
+/// fault-free round trip is `latency`, running the retry protocol when
+/// fault injection is active. Faults are timing and traffic events only:
+/// the value was already taken from shared memory in global order, so a
+/// request that survives its retries observes exactly what a fault-free
+/// run would have.
 fn reply_time<R: Recorder>(
-    fault: &mut Option<FaultPlan>,
-    t0: u64,
-    latency: u64,
-    addr: u64,
-    shape: MsgShape,
-    spin: bool,
-    p: usize,
-    tid: usize,
-    pc: Pc,
+    sys: &mut Sys,
     stats: &mut ProcStats,
-    traffic: &mut Traffic,
+    a: &Access,
+    latency: u64,
+    shape: MsgShape,
     rec: &mut R,
 ) -> Result<u64, SimError> {
-    let Some(plan) = fault.as_mut() else {
-        return Ok(t0 + latency);
+    let Some(plan) = sys.fault.as_mut() else {
+        return Ok(a.t0 + latency);
     };
     match plan.request(latency) {
         Ok(out) => {
             if out.retries > 0 || out.timeouts > 0 || out.duplicates > 0 {
-                traffic.record_fault_recovery(
+                sys.traffic.record_fault_recovery(
                     out.retries,
                     out.timeouts,
                     out.duplicates,
@@ -1984,16 +1715,16 @@ fn reply_time<R: Recorder>(
                     shape.req_words,
                     shape.reply,
                     shape.reply_words,
-                    spin,
+                    a.spin,
                 );
             }
             if R::ENABLED && (out.retries > 0 || out.timeouts > 0) {
                 rec.event(
-                    t0,
-                    p,
-                    tid,
+                    a.t0,
+                    a.p,
+                    a.tid,
                     EventKind::FaultRetry {
-                        addr,
+                        addr: a.addr,
                         retries: out.retries as u64,
                         timeouts: out.timeouts as u64,
                     },
@@ -2002,52 +1733,17 @@ fn reply_time<R: Recorder>(
             stats.retries += out.retries as u64;
             stats.timeouts += out.timeouts as u64;
             stats.fault_wait += out.delay.saturating_sub(latency);
-            Ok(t0 + out.delay)
+            Ok(a.t0 + out.delay)
         }
         Err(e) => Err(SimError::Fault {
-            proc: p,
-            thread: tid,
-            pc: pc as u64,
-            addr,
+            proc: a.p,
+            thread: a.tid,
+            pc: a.pc as u64,
+            addr: a.addr,
             attempts: e.attempts,
-            cycle: t0 + e.wasted,
+            cycle: a.t0 + e.wasted,
         }),
     }
-}
-
-/// Machine-wide deadlock scan, run the moment some thread's spin loop is
-/// proven periodic. Deadlock is declared only when **every** live thread
-/// holds a periodicity proof that is current (`seen_mutations` equals the
-/// global count — no shared write landed after the proof): then no live
-/// thread can ever store, fetch-add, or halt, so the words being waited on
-/// are frozen forever.
-fn detect_deadlock(
-    ths: &Threads,
-    threads_per_proc: usize,
-    mutations: u64,
-    now: u64,
-) -> Option<SimError> {
-    let mut waiters = Vec::new();
-    let mut halted = 0usize;
-    for (i, th) in ths.cold.iter().enumerate() {
-        if ths.halted[i] {
-            halted += 1;
-            continue;
-        }
-        if !th.spin_blocked() || th.seen_mutations != mutations {
-            return None;
-        }
-        waiters.push(DeadlockWaiter {
-            thread: i,
-            proc: i / threads_per_proc,
-            addr: th.spin_addr.unwrap_or(0),
-            value: th.last_poll_value,
-        });
-    }
-    if waiters.is_empty() {
-        return None;
-    }
-    Some(SimError::Deadlock { cycle: now, halted_threads: halted, waiters })
 }
 
 fn alu(op: AluOp, a: i64, b: i64) -> i64 {
@@ -2082,69 +1778,49 @@ fn alu(op: AluOp, a: i64, b: i64) -> i64 {
     }
 }
 
-/// Cache lookup + fill traffic for a single-word shared load. Returns the
-/// hit flag (always `false` without caches, where the plain load messages
-/// are recorded instead).
+/// Cache lookup + fill traffic for a single-word, non-spin shared load.
+/// Returns the hit flag (always `false` without caches, where the plain
+/// load messages are recorded instead).
 #[inline]
-fn lookup_cache(
-    caches: &mut Option<CoherentCaches>,
-    p: usize,
-    addr: u64,
-    config: &MachineConfig,
-    traffic: &mut Traffic,
-    spin: bool,
-) -> bool {
-    match caches.as_mut() {
+fn lookup_cache(sys: &mut Sys, p: usize, addr: u64) -> bool {
+    match sys.caches.as_mut() {
         Some(c) => {
             let hit = c.load(p, addr);
             if !hit {
-                traffic.record_line_fill(config.cache.line_words, spin);
+                sys.traffic.record_line_fill(sys.config.cache.line_words, false);
             }
             hit
         }
         None => {
-            traffic.record_load(1, spin);
+            sys.traffic.record_load(1, false);
             false
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shared_store<R: Recorder>(
-    config: &MachineConfig,
-    net: &mut Option<Network>,
-    t0: u64,
-    p: usize,
-    addr: u64,
-    caches: &mut Option<CoherentCaches>,
-    traffic: &mut Traffic,
-    spin: bool,
-    words: u64,
-    tid: usize,
-    rec: &mut R,
-) {
-    let _ = config;
-    traffic.record_store(words, spin);
-    rec.event(t0, p, tid, EventKind::StoreIssue { addr });
+/// Traffic, network occupancy and invalidations of one shared store.
+fn shared_store<R: Recorder>(sys: &mut Sys, a: &Access, words: u64, rec: &mut R) {
+    sys.traffic.record_store(words, a.spin);
+    rec.event(a.t0, a.p, a.tid, EventKind::StoreIssue { addr: a.addr });
     // Stores are write-through and acknowledged but never waited on:
     // the round trip still occupies network links (driving up queueing
     // for the loads behind it) even though its completion time is moot.
-    let q0 = net_queue_cycles::<R>(net);
-    if let Some(n) = net.as_mut() {
+    let q0 = net_queue_cycles::<R>(&sys.net);
+    if let Some(n) = sys.net.as_mut() {
         n.round_trip(
-            t0,
-            p,
-            addr,
+            a.t0,
+            a.p,
+            a.addr,
             message_bits(MsgClass::Store, words),
             message_bits(MsgClass::StoreAck, 0),
         );
     }
     if R::ENABLED {
-        observe_net_queue(rec, net, q0, t0, p, tid, addr);
+        observe_net_queue(rec, &sys.net, q0, a);
     }
-    if let Some(c) = caches.as_mut() {
-        let inv = c.store(p, addr);
-        traffic.record_invalidations(inv);
+    if let Some(c) = sys.caches.as_mut() {
+        let inv = c.store(a.p, a.addr);
+        sys.traffic.record_invalidations(inv);
     }
 }
 
@@ -2164,73 +1840,50 @@ fn net_queue_cycles<R: Recorder>(net: &Option<Network>) -> u64 {
 /// sent since `before` was read. The engine observes queueing at message
 /// granularity (the modeled network reports residency per round trip, not
 /// per hop), so one enqueue/dequeue pair stands for the whole trip.
-fn observe_net_queue<R: Recorder>(
-    rec: &mut R,
-    net: &Option<Network>,
-    before: u64,
-    t0: u64,
-    p: usize,
-    tid: usize,
-    addr: u64,
-) {
+fn observe_net_queue<R: Recorder>(rec: &mut R, net: &Option<Network>, before: u64, a: &Access) {
     if let Some(n) = net.as_ref() {
         let queued = n.stats().queue_cycles - before;
         rec.sample(Metric::QueueResidency, queued);
-        rec.event(t0, p, tid, EventKind::NetEnqueue { addr, queued });
-        rec.event(t0 + queued, p, tid, EventKind::NetDequeue { addr });
+        rec.event(a.t0, a.p, a.tid, EventKind::NetEnqueue { addr: a.addr, queued });
+        rec.event(a.t0 + queued, a.p, a.tid, EventKind::NetDequeue { addr: a.addr });
     }
 }
 
-#[inline]
-fn store_outcome(config: &MachineConfig, proc: &Proc) -> Outcome {
-    match config.model {
-        SwitchModel::SwitchEveryCycle => {
-            Outcome::Yield { wake: proc.time, cause: SwitchCause::Rotation }
-        }
-        _ => Outcome::Continue,
-    }
-}
-
+/// What a `Switch` instruction does under the configured model. Under
+/// the grouping models it ends the current load group, whether or not
+/// the switch is taken.
 #[inline]
 fn switch_outcome(
     config: &MachineConfig,
     th: &mut Thread,
-    proc: &Proc,
+    now: u64,
     counters: &mut Counters,
 ) -> Outcome {
-    match config.model {
+    let outcome = match config.model {
         SwitchModel::ExplicitSwitch => {
             if config.interblock_estimate && th.group_reads > 0 && th.group_all_oneline {
                 counters.skipped += 1;
-                th.clear_group();
-                th.outstanding = 0;
-                return Outcome::Continue;
+                Outcome::Continue
+            } else {
+                Outcome::Yield { wake: th.outstanding.max(now), cause: SwitchCause::Explicit }
             }
-            let wake = th.outstanding.max(proc.time);
-            th.clear_group();
-            th.outstanding = 0;
-            Outcome::Yield { wake, cause: SwitchCause::Explicit }
         }
         SwitchModel::ConditionalSwitch => {
             if th.pending_miss {
-                let wake = th.outstanding.max(proc.time);
-                th.clear_group();
-                th.outstanding = 0;
-                Outcome::Yield { wake, cause: SwitchCause::Explicit }
+                Outcome::Yield { wake: th.outstanding.max(now), cause: SwitchCause::Explicit }
             } else if config.max_run.is_some_and(|m| th.run_cycles >= m) {
                 counters.forced += 1;
-                th.clear_group();
-                th.outstanding = 0;
-                Outcome::Yield { wake: proc.time, cause: SwitchCause::Forced }
+                Outcome::Yield { wake: now, cause: SwitchCause::Forced }
             } else {
                 counters.skipped += 1;
-                th.clear_group();
-                th.outstanding = 0;
                 Outcome::Continue
             }
         }
         // Under every other model the switch instruction is an ordinary
         // 1-cycle instruction (the every-cycle model rotates regardless).
-        _ => Outcome::Continue,
-    }
+        _ => return Outcome::Continue,
+    };
+    th.clear_group();
+    th.outstanding = 0;
+    outcome
 }

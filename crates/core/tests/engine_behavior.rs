@@ -28,16 +28,19 @@ fn load_compute_kernel(iters: i64, work: usize) -> Program {
 
 #[test]
 fn scratch_reuse_is_bit_identical_to_fresh_machines() {
-    use mtsim_core::{MachineScratch, NoopRecorder};
+    use mtsim_core::{DecodedProgram, MachineScratch, NoopRecorder};
     let prog = load_compute_kernel(40, 3);
+    let decoded = DecodedProgram::decode(&prog);
+    let build = |cfg, key, scratch: &mut MachineScratch| {
+        Machine::try_new_predecoded(cfg, &prog, &decoded, SharedMemory::new(128), key, scratch)
+            .expect("build")
+    };
     let cfg = || MachineConfig::new(SwitchModel::SwitchOnLoad, 2, 2);
     let fresh = Machine::new(cfg(), &prog, SharedMemory::new(128)).run().expect("fresh");
 
     let mut scratch = MachineScratch::new();
     for round in 0..3 {
-        let (m, reused) =
-            Machine::try_new_reusing(cfg(), &prog, SharedMemory::new(128), 7, &mut scratch)
-                .expect("build");
+        let (m, reused) = build(cfg(), 7, &mut scratch);
         assert_eq!(reused, round > 0, "every build after the first must reuse");
         let lean = m.run_reusing(&mut NoopRecorder, 7, &mut scratch).expect("run");
         assert_eq!(format!("{:?}", lean.result), format!("{:?}", fresh.result));
@@ -48,15 +51,11 @@ fn scratch_reuse_is_bit_identical_to_fresh_machines() {
     // (fewer threads, same program) reuses and stays correct.
     let cfg1 = || MachineConfig::new(SwitchModel::SwitchOnLoad, 2, 1);
     let fresh1 = Machine::new(cfg1(), &prog, SharedMemory::new(128)).run().expect("fresh1");
-    let (m, reused) =
-        Machine::try_new_reusing(cfg1(), &prog, SharedMemory::new(128), 7, &mut scratch)
-            .expect("build");
+    let (m, reused) = build(cfg1(), 7, &mut scratch);
     assert!(reused, "same key, new shape: buffers still reusable");
     let lean = m.run_reusing(&mut NoopRecorder, 7, &mut scratch).expect("run");
     assert_eq!(format!("{:?}", lean.result), format!("{:?}", fresh1.result));
-    let (_, reused) =
-        Machine::try_new_reusing(cfg1(), &prog, SharedMemory::new(128), 8, &mut scratch)
-            .expect("build");
+    let (_, reused) = build(cfg1(), 8, &mut scratch);
     assert!(!reused, "a different key must not reuse");
 }
 

@@ -409,8 +409,8 @@ fn run_one_with_retries(
 
 thread_local! {
     /// Per-worker parked machine state. Successive same-shape jobs on one
-    /// worker reuse the program clone and thread vector instead of
-    /// reallocating them; see [`MachineScratch`]. The pool spawns fresh
+    /// worker reuse the thread vector instead of reallocating it (no
+    /// program image is parked); see [`MachineScratch`]. The pool spawns fresh
     /// scoped threads per sweep, so this holds nothing across sweeps.
     static MACHINE_SCRATCH: RefCell<MachineScratch> = RefCell::new(MachineScratch::new());
 }
@@ -419,9 +419,11 @@ thread_local! {
 /// program *content* plus the address of the artifact actually run.
 /// Artifacts are deterministic functions of `(app, scale, nthreads,
 /// variant)` — where `variant` discriminates the base program, the
-/// grouped program, and each optimizer level — so even if an address
-/// gets recycled across evictions the colliding program bytes are
-/// identical and reuse stays sound.
+/// grouped program, and each optimizer level. The scratch parks only
+/// per-thread buffers, never a program image: the machine always runs
+/// the program and decode handed to it, and re-derives the buffer shape
+/// on every build, so a key decides only whether an allocation is
+/// skipped.
 fn scratch_key(spec: &JobSpec, program: &mtsim_asm::Program, variant: u8) -> u64 {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(spec.app.name().as_bytes());
