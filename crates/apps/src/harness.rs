@@ -4,7 +4,7 @@
 use mtsim_asm::Program;
 use mtsim_core::{Machine, MachineConfig, ObsRecorder, RunResult, SimError, SwitchModel};
 use mtsim_mem::SharedMemory;
-use mtsim_opt::{group_shared_loads, optimize, GroupStats, OptLevel, OptStats};
+use mtsim_opt::{group_shared_loads, GroupStats};
 
 /// Why an application run failed: the simulator stopped with a typed
 /// [`SimError`], or it finished but the final memory image disagreed with
@@ -113,14 +113,6 @@ impl BuiltApp {
     pub fn grouped(&self) -> (Program, GroupStats) {
         let g = group_shared_loads(&self.program);
         (g.program, g.stats)
-    }
-
-    /// The program as produced by the multi-pass optimizer pipeline at
-    /// `level` (DESIGN.md §21), plus the full per-pass statistics.
-    /// `OptLevel::Intra` is bit-identical to [`BuiltApp::grouped`].
-    pub fn optimized(&self, level: OptLevel) -> (Program, OptStats) {
-        let r = optimize(&self.program, level);
-        (r.program, r.stats)
     }
 }
 

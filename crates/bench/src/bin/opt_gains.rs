@@ -1,12 +1,11 @@
-//! Optimizer gains: measured inter-block/pipelined improvements per
-//! application against the paper's §5.2 one-line-cache estimate.
+//! Optimizer gains: the paper's intra-block grouping pass measured per
+//! application against the §5.2 one-line-cache estimate.
 //!
-//! Each row runs the real pass pipeline (`mtsim-opt`) at `intra`,
-//! `inter`, and `inter-pipeline`, times the images at the Table 6
-//! measurement point (explicit-switch, small processor count, T=2), and
-//! prints the estimator's upper-bound grouping factor alongside. Results
-//! go to `BENCH_opt.json` so the measured-vs-estimated gap has a
-//! trajectory across changes.
+//! Each row runs the grouped (`intra`) image at the Table 6 measurement
+//! point (explicit-switch, small processor count, T=2) and prints the
+//! estimator's upper-bound grouping factor alongside. Results go to
+//! `BENCH_opt.json` so the measured-vs-estimated gap has a trajectory
+//! across changes.
 //!
 //! Usage: `cargo run --release -p mtsim-bench --bin opt_gains
 //!         [--scale tiny|small|full]`
@@ -27,19 +26,10 @@ fn main() {
     for row in &rows {
         j.begin_object();
         j.key("app").string(row.app.name());
+        j.key("cycles").u64(row.cycles);
+        j.key("dyn_grouping").f64(row.dyn_grouping);
+        j.key("group_mean").f64(row.group_mean);
         j.key("estimated_factor").f64(row.estimated_factor);
-        j.key("levels").begin_array();
-        for l in &row.levels {
-            j.begin_object();
-            j.key("level").string(l.level.name());
-            j.key("cycles").u64(l.cycles);
-            j.key("dyn_grouping").f64(l.dyn_grouping);
-            j.key("group_mean").f64(l.group_mean);
-            j.key("hoisted").u64(l.hoisted as u64);
-            j.key("pipelined").u64(l.pipelined as u64);
-            j.end();
-        }
-        j.end();
         j.end();
     }
     j.end();

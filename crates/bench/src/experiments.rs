@@ -12,7 +12,6 @@ use mtsim_apps::{
 use mtsim_core::{
     MachineConfig, NetworkConfig, RunLengthHist, RunResult, RunStats, SwitchModel, Topology,
 };
-use mtsim_opt::OptLevel;
 use mtsim_sweep::{run_job_specs, JobOutcome, JobSpec, OptChoice, SweepOpts};
 
 /// Watchdog for every experiment run (generous; catches deadlocks).
@@ -532,45 +531,28 @@ pub fn model_frontier(scale: Scale, workers: Option<usize>) -> Vec<ModelFrontier
 // Optimizer gains: measured passes vs the §5.2 estimate
 // ---------------------------------------------------------------------
 
-/// One optimization level's measured result within an [`OptGainRow`].
+/// One application's measured grouping against the §5.2 estimate.
 #[derive(Debug, Clone)]
-pub struct OptGainLevel {
-    /// Pipeline that produced the image.
-    pub level: OptLevel,
-    /// Cycles to completion at the Table 6 measurement point
-    /// (explicit-switch, `procs_for(..).min(4)` processors, T=2).
+pub struct OptGainRow {
+    /// Application.
+    pub app: AppKind,
+    /// Cycles to completion of the grouped (`intra`) image at the Table 6
+    /// measurement point (explicit-switch, `procs_for(..).min(4)`
+    /// processors, T=2).
     pub cycles: u64,
     /// Dynamic grouping factor (reads per taken switch) observed.
     pub dyn_grouping: f64,
     /// Static mean group size reported by the grouping pass.
     pub group_mean: f64,
-    /// Loads the hoisting pass moved across block boundaries.
-    pub hoisted: usize,
-    /// Loads the pipelining pass issued one iteration early.
-    pub pipelined: usize,
-}
-
-/// One application's measured-vs-estimated optimizer comparison.
-#[derive(Debug, Clone)]
-pub struct OptGainRow {
-    /// Application.
-    pub app: AppKind,
-    /// Measurements at `Intra`, `Inter`, and `InterPipeline` (in that
-    /// order). `None` is omitted: with no switch instructions the
-    /// explicit-switch model cannot make progress.
-    pub levels: Vec<OptGainLevel>,
     /// The §5.2 one-line-cache estimate of the achievable grouping
     /// factor (Table 6's "revised" column) — an upper bound that assumes
     /// every one-line-cache hit merges its group with the previous one.
     pub estimated_factor: f64,
 }
 
-/// Measured optimizer gains per app against the paper's §5.2 estimate.
-///
-/// Each level's image comes from the real pass pipeline
-/// ([`BuiltApp::optimized`]), so this table shows what the *legal*
-/// inter-block passes actually achieve on the seven app codings, next to
-/// the estimator's upper bound at the same measurement point.
+/// Measured intra-block grouping per app against the paper's §5.2
+/// estimate of what inter-block grouping could reach, both at the
+/// Table 6 measurement point.
 pub fn opt_gains(scale: Scale) -> Vec<OptGainRow> {
     AppKind::ALL
         .iter()
@@ -590,27 +572,17 @@ pub fn opt_gains(scale: Scale) -> Vec<OptGainRow> {
                 est.reads_issued as f64 / est.switches_taken as f64
             };
 
-            let levels = [OptLevel::Intra, OptLevel::Inter, OptLevel::InterPipeline]
-                .iter()
-                .map(|&level| {
-                    let (prog, stats) = app.optimized(level);
-                    let r = run_app_with_program(
-                        &app,
-                        &prog,
-                        cfg(SwitchModel::ExplicitSwitch, procs, t),
-                    )
-                    .expect("opt_gains level run");
-                    OptGainLevel {
-                        level,
-                        cycles: r.cycles,
-                        dyn_grouping: r.dynamic_grouping_factor(),
-                        group_mean: stats.group_mean(),
-                        hoisted: stats.hoisted_loads,
-                        pipelined: stats.pipelined_loads,
-                    }
-                })
-                .collect();
-            OptGainRow { app: kind, levels, estimated_factor }
+            let (grouped, stats) = app.grouped();
+            let r =
+                run_app_with_program(&app, &grouped, cfg(SwitchModel::ExplicitSwitch, procs, t))
+                    .expect("opt_gains grouped run");
+            OptGainRow {
+                app: kind,
+                cycles: r.cycles,
+                dyn_grouping: r.dynamic_grouping_factor(),
+                group_mean: stats.grouping_factor(),
+                estimated_factor,
+            }
         })
         .collect()
 }
@@ -767,20 +739,16 @@ mod tests {
         let rows = opt_gains(Scale::Tiny);
         assert_eq!(rows.len(), AppKind::ALL.len());
         for row in &rows {
-            assert_eq!(row.levels.len(), 3, "{}: three levels measured", row.app);
             assert!(row.estimated_factor >= 1.0, "{}: estimate below 1", row.app);
-            for l in &row.levels {
-                assert!(l.cycles > 0, "{} {}: empty run", row.app, l.level);
-                assert!(l.dyn_grouping >= 1.0, "{} {}: grouping below 1", row.app, l.level);
-            }
-            // The estimate is an upper bound on what any pass can reach.
-            let best = row.levels.iter().map(|l| l.dyn_grouping).fold(0.0, f64::max);
+            assert!(row.cycles > 0, "{}: empty run", row.app);
+            assert!(row.dyn_grouping >= 1.0, "{}: grouping below 1", row.app);
+            // The estimate is an upper bound on the measured grouping.
             assert!(
-                row.estimated_factor >= best - 1e-9,
+                row.estimated_factor >= row.dyn_grouping - 1e-9,
                 "{}: estimate {} below measured {}",
                 row.app,
                 row.estimated_factor,
-                best
+                row.dyn_grouping
             );
         }
     }

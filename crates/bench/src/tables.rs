@@ -135,8 +135,8 @@ pub fn table8_text(scale: Scale, jobs: Option<usize>) -> String {
     )
 }
 
-/// Optimizer gains: what the legal inter-block/pipelining passes measure
-/// against the §5.2 one-line-cache estimate.
+/// Optimizer gains: the paper's intra-block grouping, measured, against
+/// the §5.2 one-line-cache estimate of inter-block grouping.
 pub fn opt_gains_text(scale: Scale) -> String {
     opt_gains_render(&experiments::opt_gains(scale), scale)
 }
@@ -144,40 +144,23 @@ pub fn opt_gains_text(scale: Scale) -> String {
 /// Renders pre-computed [`experiments::OptGainRow`]s (the `opt_gains`
 /// binary reuses the rows for `BENCH_opt.json`).
 pub fn opt_gains_render(rows: &[experiments::OptGainRow], scale: Scale) -> String {
-    let mut t = TextTable::new([
-        "app",
-        "level",
-        "cycles",
-        "speedup",
-        "dyn grouping",
-        "static mean",
-        "hoisted",
-        "pipelined",
-        "estimate",
-    ]);
+    let mut t = TextTable::new(["app", "cycles", "dyn grouping", "static mean", "estimate"]);
     for row in rows {
-        let base = row.levels.first().map(|l| l.cycles).unwrap_or(0);
-        for l in &row.levels {
-            t.row([
-                row.app.name().to_string(),
-                l.level.name().to_string(),
-                l.cycles.to_string(),
-                format!("{:.3}x", base as f64 / l.cycles as f64),
-                format!("{:.2}", l.dyn_grouping),
-                format!("{:.2}", l.group_mean),
-                l.hoisted.to_string(),
-                l.pipelined.to_string(),
-                format!("{:.2}", row.estimated_factor),
-            ]);
-        }
+        t.row([
+            row.app.name().to_string(),
+            row.cycles.to_string(),
+            format!("{:.2}", row.dyn_grouping),
+            format!("{:.2}", row.group_mean),
+            format!("{:.2}", row.estimated_factor),
+        ]);
     }
     wrap(
         format!(
-            "Optimizer gains: measured passes vs the §5.2 estimate, explicit-switch (scale {scale:?})"
+            "Optimizer gains: intra-block grouping vs the §5.2 estimate, explicit-switch (scale {scale:?})"
         ),
         t.render(),
-        "(the estimate is an upper bound: the legal hoist/pipeline passes find no \
-cross-block moves in these app codings, so inter == intra here)",
+        "(the estimate is an upper bound on inter-block grouping; DESIGN.md §21 records \
+why the passes that chased it were deleted)",
     )
 }
 

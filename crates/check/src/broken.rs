@@ -11,7 +11,7 @@
 //! detected and shrinks the witness program to a handful of instructions.
 
 use mtsim_asm::Program;
-use mtsim_opt::{basic_blocks, group_shared_loads, optimize, OptLevel};
+use mtsim_opt::{basic_blocks, group_shared_loads};
 
 /// Window (in instructions) past a shared store within which a following
 /// shared load is considered for the illegal swap. Small, so the swap
@@ -45,16 +45,16 @@ pub fn miscompiled_candidates(prog: &Program) -> Vec<Program> {
     out
 }
 
-/// Deliberately *illegal* inter-block hoists: variants of the
-/// `OptLevel::Inter` image with one shared load swapped with a shared
-/// store that sits in an **earlier basic block**. The real hoisting pass
-/// (`mtsim_opt::hoist_shared_loads`) refuses exactly this move — lifting
-/// a load above a possibly-aliasing store across a block boundary — so
-/// these candidates simulate an optimizer with that legality check
-/// dropped. A swap keeps every instruction index (and thus every branch
-/// target) valid, which is why it stands in for the hoist.
+/// Deliberately *illegal* inter-block hoists: variants of the grouped
+/// image with one shared load swapped with a shared store that sits in
+/// an **earlier basic block**. Lifting a load above a possibly-aliasing
+/// store across a block boundary is what an inter-block optimizer
+/// without the paper's pessimistic-aliasing rule would do, so these
+/// candidates simulate one. A swap keeps every instruction index (and
+/// thus every branch target) valid, which is why it stands in for the
+/// hoist.
 pub fn illegally_hoisted_candidates(prog: &Program) -> Vec<Program> {
-    let opt = optimize(prog, OptLevel::Inter).program;
+    let opt = group_shared_loads(prog).program;
     let insts = opt.insts();
     let blocks = basic_blocks(&opt);
     let block_of = |pc: usize| blocks.iter().position(|r| r.contains(&pc)).unwrap_or(usize::MAX);
@@ -111,7 +111,7 @@ mod tests {
         let prog = b.finish();
         let cands = illegally_hoisted_candidates(&prog);
         assert!(!cands.is_empty(), "expected a cross-block illegal hoist");
-        let honest = optimize(&prog, OptLevel::Inter).program;
+        let honest = group_shared_loads(&prog).program;
         for c in &cands {
             assert_eq!(c.len(), honest.len());
             assert_ne!(c.insts(), honest.insts());

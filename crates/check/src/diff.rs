@@ -4,11 +4,9 @@
 //! For every thread-count variant and processor split of a
 //! [`TestProgram`], the harness runs the engine under **every** switch
 //! model, at latencies {0, 200, 1000}, on the compiler-natural and the
-//! grouped (`mtsim_opt::group_shared_loads`) program images **plus the
-//! inter-block optimizer pipelines** (`OptLevel::Inter` and
-//! `OptLevel::InterPipeline`, deduped by listing when a pass left the
-//! program alone), plus a set of fault-injected runs — and demands that
-//! each run's final architectural state equals the sequential oracle's.
+//! grouped (`mtsim_opt::group_shared_loads`) program images, plus a set
+//! of fault-injected runs — and demands that each run's final
+//! architectural state equals the sequential oracle's.
 //! This checks the paper's central claim at the semantics level: switch
 //! models, latency, instruction reorganization, and an unreliable
 //! network may change *timing*, never *results*.
@@ -19,18 +17,14 @@
 //!   including its cycle count (engine determinism);
 //! * with one processor, one thread, no faults, and the ungrouped image,
 //!   the engine executes exactly the oracle's dynamic instruction count
-//!   (generated programs are spin-free when single-threaded);
-//! * every optimizer pipeline is semantics-preserving (each optimized
-//!   image's runs are held to the same oracle — including full register
-//!   files and local memories when the case is register-comparable, so
-//!   the pipelining pass's shadow-register bookkeeping must be exact).
+//!   (generated programs are spin-free when single-threaded).
 
 use crate::generate::TestProgram;
 use crate::oracle::{run_oracle, OracleRun};
 use mtsim_asm::Program;
 use mtsim_core::{FinishedRun, Machine, MachineConfig, NetworkConfig, SwitchModel, Topology};
 use mtsim_mem::{FaultConfig, LatencyDist};
-use mtsim_opt::{group_shared_loads, optimize, OptLevel};
+use mtsim_opt::group_shared_loads;
 use mtsim_rng::Rng;
 
 /// Latencies every non-fault configuration is exercised at.
@@ -61,10 +55,6 @@ pub struct CaseReport {
     pub engine_runs: usize,
     /// Oracle executions (one per thread-count variant × split).
     pub oracle_runs: usize,
-    /// Extra optimizer images checked beyond ungrouped/grouped — i.e.
-    /// splits where the inter-block passes actually changed the program
-    /// (identical images are deduped, not rerun).
-    pub opt_images: usize,
 }
 
 /// Processor/thread splits exercised for a given total thread count.
@@ -183,29 +173,12 @@ fn check_split(
     report.oracle_runs += 1;
 
     let grouped = group_shared_loads(&case.program).program;
-    // Optimizer-pipeline images (DESIGN.md §21). `Intra` is
-    // `group_shared_loads` verbatim, so `grouped` covers it; the
-    // inter-block levels are deduped by listing — on programs the extra
-    // passes leave alone they are byte-identical to `grouped` and
-    // rerunning them would grow the grid for nothing.
-    let inter = optimize(&case.program, OptLevel::Inter).program;
-    let interp = optimize(&case.program, OptLevel::InterPipeline).program;
-    let mut images: Vec<(&Program, &str)> =
-        vec![(&case.program, "ungrouped"), (&grouped, "grouped")];
-    if inter.listing() != grouped.listing() {
-        images.push((&inter, "opt-inter"));
-    }
-    if interp.listing() != inter.listing() {
-        images.push((&interp, "opt-inter-pipe"));
-    }
-    report.opt_images += images.len() - 2;
+    let images: [(&Program, &str); 2] = [(&case.program, "ungrouped"), (&grouped, "grouped")];
 
     let has_sync = tp.uses_lock() || tp.uses_barrier();
     for (prog, tag) in images {
         for model in SwitchModel::ALL {
             for lat in LATENCIES {
-                // Every optimized image ends with the grouping pass, so
-                // "has explicit switches" is what progress depends on.
                 if !progress_guaranteed(model, lat, prog.switch_count() > 0, has_sync, tpp) {
                     continue;
                 }
@@ -277,9 +250,9 @@ fn check_split(
         (SwitchModel::SwitchOnLoad, &case.program, "fault-ungrouped"),
         (SwitchModel::ExplicitSwitch, &grouped, "fault-grouped"),
         (SwitchModel::ConditionalSwitch, &grouped, "fault-grouped"),
-        // The most aggressive pipeline must also survive an unreliable
-        // network (use-miss switching makes progress at any latency).
-        (SwitchModel::SwitchOnUseMiss, &interp, "fault-opt"),
+        // Use-miss switching makes progress at any latency, so the
+        // grouped image runs under it unconditionally.
+        (SwitchModel::SwitchOnUseMiss, &grouped, "fault-grouped"),
     ];
     for (i, (model, prog, tag)) in fault_grid.into_iter().enumerate() {
         let seed = Rng::derive(fault_seed, "fault-run").next_u64().wrapping_add(i as u64);

@@ -27,9 +27,8 @@
 //! * [`miscompiled_candidates`] — a deliberate §4-violating miscompiler
 //!   used to prove the harness catches real reordering bugs.
 //! * [`illegally_hoisted_candidates`] — the inter-block analogue: the
-//!   `OptLevel::Inter` image with one load lifted above an aliasing
-//!   store across a block boundary, the exact move the hoisting pass's
-//!   legality rules forbid.
+//!   grouped image with one load lifted above an aliasing store in an
+//!   earlier basic block, a move no legal reorganization may make.
 
 mod broken;
 mod chaos;
@@ -105,9 +104,6 @@ pub struct FuzzSummary {
     pub engine_runs: usize,
     /// Oracle executions.
     pub oracle_runs: usize,
-    /// Splits where an inter-block optimizer pass changed the program
-    /// (those images are checked in addition to ungrouped/grouped).
-    pub opt_images: usize,
     /// Worker panics (always failures; counted separately because there
     /// is no case to shrink).
     pub panics: Vec<String>,
@@ -127,10 +123,6 @@ impl FuzzSummary {
         out.push_str(&format!(
             "mtsim check: {} cases, {} engine runs, {} oracle runs\n",
             self.cases, self.engine_runs, self.oracle_runs
-        ));
-        out.push_str(&format!(
-            "  optimizer: {} splits carried a distinct inter-block/pipelined image\n",
-            self.opt_images
         ));
         out.push_str(&format!(
             "  replay: {} synthetic-trace cases held to their predicted image\n",
@@ -195,7 +187,6 @@ pub fn fuzz(cfg: FuzzConfig) -> FuzzSummary {
             Ok(Ok((report, replay))) => {
                 summary.engine_runs += report.engine_runs;
                 summary.oracle_runs += report.oracle_runs;
-                summary.opt_images += report.opt_images;
                 if let Some(r) = replay {
                     summary.replay_cases += 1;
                     summary.engine_runs += r.engine_runs;

@@ -97,16 +97,14 @@ pub fn parse_model_spec(value: &str) -> Result<(SwitchModel, Option<usize>), Fla
 /// Parses `mtsim run --opt-level`: `auto` (the model-aware legacy
 /// selection) or a pinned [`OptLevel`] name.
 pub fn parse_opt_choice(value: &str) -> Result<OptChoice, FlagError> {
-    OptChoice::from_name(value).ok_or_else(|| {
-        FlagError::new("opt-level", value, "auto, none, intra, inter, or inter-pipeline")
-    })
+    OptChoice::from_name(value)
+        .ok_or_else(|| FlagError::new("opt-level", value, "auto, none, or intra"))
 }
 
 /// Parses `mtsim opt --level`: a pinned [`OptLevel`] name (`auto` makes
 /// no sense when the optimizer itself is the command).
 pub fn parse_opt_level(value: &str) -> Result<OptLevel, FlagError> {
-    OptLevel::from_name(value)
-        .ok_or_else(|| FlagError::new("level", value, "none, intra, inter, or inter-pipeline"))
+    OptLevel::from_name(value).ok_or_else(|| FlagError::new("level", value, "none or intra"))
 }
 
 /// Parses `constant`, `uniform:LO:HI`, or `geometric:MIN:MEAN`.
@@ -232,7 +230,12 @@ mod tests {
         let e = parse_opt_choice("O3").unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("bad value 'O3' for --opt-level"), "{msg}");
-        assert!(msg.contains("auto, none, intra, inter, or inter-pipeline"), "{msg}");
+        assert!(msg.contains("auto, none, or intra"), "{msg}");
+        // Removed level names must be rejected, never mapped to a survivor.
+        for gone in ["inter", "inter-pipeline"] {
+            assert!(parse_opt_choice(gone).is_err(), "{gone}");
+            assert!(parse_opt_level(gone).is_err(), "{gone}");
+        }
         // The subcommand's --level takes no "auto".
         assert!(parse_opt_level("auto").is_err());
         let e = parse_opt_level("speed").unwrap_err();

@@ -3,13 +3,13 @@
 //! ```text
 //! mtsim run <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]
 //!            [--max-run N|off] [--priority] [--estimate] [--stats]
-//!            [--opt-level auto|none|intra|inter|inter-pipeline]
+//!            [--opt-level auto|none|intra]
 //!            [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]
 //!            [--latency-dist D] [--max-retries N]
 //!            [--net T] [--link-bw N] [--combining]
 //! mtsim list
 //! mtsim disasm <app> [--grouped] [--scale S]
-//! mtsim opt <app> [--level none|intra|inter|inter-pipeline] [--scale S]
+//! mtsim opt <app> [--level none|intra] [--scale S]
 //!            [-t N] [--diff]
 //! mtsim models
 //! mtsim compile <file.mtc> [-t N] [--grouped]
@@ -55,14 +55,14 @@
 //! ring (most recent events win); `--attr` additionally prints the
 //! per-thread cycle-attribution flame table on stdout.
 //!
-//! `opt` runs the multi-pass optimizer pipeline (DESIGN.md §21) over one
-//! application image and reports per-pass statistics: loads hoisted
-//! across blocks, loads software-pipelined out of loops, and the final
-//! shared-load grouping. `--diff` additionally prints a line diff of the
-//! before/after disassembly. `mtsim run --opt-level` pins the same
-//! pipeline for a real simulation instead of the model-aware `auto`
+//! `opt` runs the paper's grouping pass (§5.1) over one application
+//! image at `--level` (default `intra`; `none` leaves it untouched) and
+//! reports the grouping statistics: shared loads grouped, groups formed,
+//! mean and largest group. `--diff` additionally prints a line diff of
+//! the before/after disassembly. `mtsim run --opt-level` pins the same
+//! level for a real simulation instead of the model-aware `auto`
 //! selection (grouped image iff the model switches explicitly); the
-//! optimized image is verified against the host reference like any other
+//! pinned image is verified against the host reference like any other
 //! run. Pinning `none` under an explicit-switch model is allowed but
 //! usually livelocks on spin-waits until the watchdog trips.
 //!
@@ -130,7 +130,7 @@ use mtsim_apps::{
 };
 use mtsim_core::{MachineConfig, StreamHist, SwitchModel};
 use mtsim_mem::FaultConfig;
-use mtsim_opt::OptLevel;
+use mtsim_opt::{GroupStats, OptLevel};
 use mtsim_sweep::{OptChoice, SweepOpts, SweepSpec};
 
 /// The simulation ran and failed (typed `SimError` or wrong results).
@@ -147,7 +147,7 @@ const EXIT_ABORTED: i32 = 4;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra|inter|inter-pipeline]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra|inter|inter-pipeline] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--stats] [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n\napps: {}\nmodels: {}",
+        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--stats] [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n\napps: {}\nmodels: {}",
         AppKind::ALL.map(|a| a.name()).join(", "),
         SwitchModel::ALL.map(|m| m.name()).join(", ") + " (smt takes smt:<width>)"
     );
@@ -671,36 +671,24 @@ fn cmd_opt(args: &Args) {
     let level = args
         .get("level")
         .map(|v| flag_or_die(flags::parse_opt_level(v)))
-        .unwrap_or(OptLevel::InterPipeline);
+        .unwrap_or(OptLevel::Intra);
 
     let app = build_app(kind, scale, threads);
-    let (optimized, stats) = app.optimized(level);
+    let (optimized, stats) = match level {
+        OptLevel::None => (app.program.clone(), GroupStats::default()),
+        OptLevel::Intra => app.grouped(),
+    };
     println!(
         "{app_name} (scale {scale:?}, {threads} threads) at opt-level {level}: {} -> {} insts",
         app.program.len(),
         optimized.len()
     );
-    if stats.passes.is_empty() {
-        println!("  no passes run at level none");
-    } else {
-        println!("  {:<16} {:>6}  {:>6}  {:>6}", "pass", "moved", "before", "after");
-        for p in &stats.passes {
-            println!(
-                "  {:<16} {:>6}  {:>6}  {:>6}",
-                p.name, p.moved, p.insts_before, p.insts_after
-            );
-        }
-    }
     println!(
-        "  grouped {} shared loads into {} groups (mean {:.2}, max {}); \
-         hoisted {}, pipelined {} loads across {} loops",
-        stats.group.grouped_loads,
-        stats.group.switches_inserted,
-        stats.group_mean(),
-        stats.group.max_group(),
-        stats.hoisted_loads,
-        stats.pipelined_loads,
-        stats.pipelined_loops
+        "  grouped {} shared loads into {} groups (mean {:.2}, max {})",
+        stats.grouped_loads,
+        stats.switches_inserted,
+        stats.grouping_factor(),
+        stats.max_group()
     );
     if args.has("diff") {
         println!("--- {app_name} (base)");
@@ -1020,13 +1008,13 @@ fn cmd_run(args: &Args) {
         .unwrap_or(OptChoice::Auto);
 
     let app = build_app(kind, scale, procs * threads);
-    // A pinned --opt-level overrides the model-aware auto selection and
-    // runs the optimizer pipeline explicitly; `Switch` costs one cycle
-    // under the non-explicit models, so the same image is legal (and
-    // verified) everywhere.
+    // A pinned --opt-level overrides the model-aware auto selection;
+    // `Switch` costs one cycle under the non-explicit models, so the
+    // grouped image is legal (and verified) everywhere.
     let pinned = match opt {
         OptChoice::Auto => None,
-        OptChoice::Level(level) => Some(app.optimized(level).0),
+        OptChoice::Level(OptLevel::None) => Some(app.program.clone()),
+        OptChoice::Level(OptLevel::Intra) => Some(app.grouped().0),
     };
     // `--stats` attaches a recorder (tiny ring: only the histograms are
     // read) so the latency percentiles come from real per-load samples;

@@ -138,15 +138,22 @@ fn explicit_jobs_overrides_a_bad_environment_and_valid_env_works() {
 
 #[test]
 fn bad_opt_level_flags_are_usage_errors() {
-    assert_usage_error(
-        &["opt", "sieve", "--level", "bogus"],
-        &["bad value 'bogus' for --level", "none, intra, inter, or inter-pipeline"],
-    );
-    assert_usage_error(
-        &["run", "sieve", "--scale", "tiny", "--opt-level", "O3"],
-        &["bad value 'O3' for --opt-level", "auto, none, intra, inter, or inter-pipeline"],
-    );
-    assert_usage_error(&["sweep", "--opt", "turbo"], &["unknown opt level \"turbo\""]);
+    // Removed level names must be rejected, never mapped to a survivor.
+    for bad in ["bogus", "inter", "inter-pipeline"] {
+        assert_usage_error(
+            &["opt", "sieve", "--level", bad],
+            &[&format!("bad value '{bad}' for --level"), "none or intra"],
+        );
+    }
+    for bad in ["O3", "inter", "inter-pipeline"] {
+        assert_usage_error(
+            &["run", "sieve", "--scale", "tiny", "--opt-level", bad],
+            &[&format!("bad value '{bad}' for --opt-level"), "auto, none, or intra"],
+        );
+    }
+    for bad in ["turbo", "inter", "inter-pipeline"] {
+        assert_usage_error(&["sweep", "--opt", bad], &[&format!("unknown opt level \"{bad}\"")]);
+    }
 }
 
 #[test]
@@ -252,21 +259,31 @@ fn replay_requires_exactly_one_trace_source() {
 
 #[test]
 fn opt_subcommand_reports_passes_and_diff() {
-    let out = mtsim(&["opt", "sor", "--scale", "tiny", "--level", "inter-pipeline", "--diff"]);
+    let out = mtsim(&["opt", "sor", "--scale", "tiny", "--level", "intra", "--diff"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["at opt-level inter-pipeline", "grouped", "hoist-loads", "+++"] {
+    for needle in ["at opt-level intra", "grouped", "groups (mean", "+++"] {
         assert!(stdout.contains(needle), "missing {needle:?} in:\n{stdout}");
     }
+    let inserted = |l: &str| l.starts_with('+') && l.ends_with(":  switch");
+    assert!(stdout.lines().any(inserted), "no inserted switch in the diff:\n{stdout}");
+}
+
+#[test]
+fn opt_subcommand_defaults_to_intra() {
+    let out = mtsim(&["opt", "sor", "--scale", "tiny"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("at opt-level intra:"), "{stdout}");
 }
 
 #[test]
 fn pinned_opt_level_run_reports_it() {
     let out =
-        mtsim(&["run", "sor", "--scale", "tiny", "-p", "2", "-t", "2", "--opt-level", "inter"]);
+        mtsim(&["run", "sor", "--scale", "tiny", "-p", "2", "-t", "2", "--opt-level", "intra"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("opt-level     inter (pinned)"), "missing pin line:\n{stdout}");
+    assert!(stdout.contains("opt-level     intra (pinned)"), "missing pin line:\n{stdout}");
 }
 
 #[test]

@@ -10,7 +10,6 @@
 //!   blocking shared read, so a `Switch` must intervene if the predecessor
 //!   is still pending.
 
-use crate::regs::is_shared_storelike;
 use mtsim_isa::Inst;
 
 /// A dependency edge.
@@ -31,6 +30,13 @@ pub(crate) struct Dag {
     pub preds: Vec<usize>,
     /// Number of incoming completion edges per node.
     pub completion_preds: Vec<usize>,
+}
+
+/// True for memory operations that behave like stores to shared memory
+/// under the paper's pessimistic aliasing (footnote 1): stores and
+/// fetch-and-adds. No shared load is ever moved across one of these.
+fn is_shared_storelike(inst: &Inst) -> bool {
+    inst.is_shared_write() || matches!(inst, Inst::FetchAdd { .. })
 }
 
 /// True for instructions that block awaiting a reply: shared loads and

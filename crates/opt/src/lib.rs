@@ -38,19 +38,60 @@
 //! ```
 
 mod blocks;
-mod cfg;
 mod dag;
-mod interblock;
-mod manager;
 mod pass;
-mod pipeline;
-mod regs;
-mod stats;
 
 pub use blocks::basic_blocks;
-pub use cfg::{Cfg, NaturalLoop};
-pub use interblock::{hoist_shared_loads, HoistResult};
-pub use manager::{optimize, OptLevel, OptResult, PassManager};
 pub use pass::{group_shared_loads, GroupStats, GroupingResult};
-pub use pipeline::{pipeline_loops, PipelineResult};
-pub use stats::{OptStats, PassStat};
+
+/// Whether a program is reorganized before it runs: the sweep's `opt`
+/// axis, `mtsim run --opt-level` and `mtsim opt --level` pin one of these
+/// instead of the model-aware default (grouped iff the model switches
+/// explicitly).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum OptLevel {
+    /// No reorganization at all: the compiler-natural program.
+    None,
+    /// The paper's intra-block pass (§5.1): [`group_shared_loads`].
+    Intra,
+}
+
+impl OptLevel {
+    /// Every level, in increasing aggressiveness.
+    pub const ALL: [OptLevel; 2] = [OptLevel::None, OptLevel::Intra];
+
+    /// Stable lowercase name (flag value / column value).
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::None => "none",
+            OptLevel::Intra => "intra",
+        }
+    }
+
+    /// Parses a [`name`](OptLevel::name) back into a level.
+    pub fn from_name(s: &str) -> Option<OptLevel> {
+        OptLevel::ALL.into_iter().find(|l| l.name() == s)
+    }
+}
+
+impl std::fmt::Display for OptLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn level_names_round_trip() {
+        for l in OptLevel::ALL {
+            assert_eq!(OptLevel::from_name(l.name()), Some(l));
+            assert_eq!(format!("{l}"), l.name());
+        }
+        for gone in ["inter", "inter-pipeline", "bogus"] {
+            assert_eq!(OptLevel::from_name(gone), None);
+        }
+    }
+}

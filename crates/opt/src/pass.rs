@@ -403,4 +403,40 @@ mod tests {
         assert_eq!(g.stats.switches_inserted, 1, "{}", g.program.listing());
         assert_eq!(g.stats.grouped_loads, 2); // LoadPair + FLoad
     }
+
+    /// `GroupStats` mean/histogram behavior on an (effectively) empty
+    /// program — a bare `Halt`.
+    #[test]
+    fn group_stats_empty_program_edge_cases() {
+        let p = Program::from_raw_parts("empty", vec![Inst::Halt]);
+        let g = group_shared_loads(&p);
+        assert_eq!(g.stats.switches_inserted, 0);
+        assert_eq!(g.stats.grouped_loads, 0);
+        assert!(g.stats.group_sizes.is_empty());
+        assert_eq!(g.stats.grouping_factor(), 0.0);
+        assert_eq!(g.stats.max_group(), 0);
+        assert_eq!(g.stats.blocks, 1);
+        assert_eq!(GroupStats::default().grouping_factor(), 0.0);
+    }
+
+    /// And on a branch-only program: several blocks, still no groups.
+    #[test]
+    fn group_stats_branch_only_edge_cases() {
+        use mtsim_isa::{BCond, Reg};
+        let insts = vec![
+            Inst::Branch { cond: BCond::Eq, rs: Reg::new(1), rt: Reg::ZERO, target: Target::Pc(2) },
+            Inst::Jump { target: Target::Pc(3) },
+            Inst::Nop,
+            Inst::Halt,
+        ];
+        let p = Program::from_raw_parts("branches", insts);
+        let g = group_shared_loads(&p);
+        assert!(g.stats.blocks >= 3, "{}", p.listing());
+        assert_eq!(g.stats.switches_inserted, 0);
+        assert!(g.stats.group_sizes.is_empty());
+        assert_eq!(g.stats.grouping_factor(), 0.0);
+        assert_eq!(g.stats.max_group(), 0);
+        // The program itself is untouched.
+        assert_eq!(g.program.listing(), p.listing());
+    }
 }

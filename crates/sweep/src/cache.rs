@@ -4,8 +4,9 @@
 //! A grid point needs two artifacts: the built application (program +
 //! initialized shared memory + verifier) keyed by `(app, scale,
 //! nthreads)` — the program's *shape*, i.e. everything codegen depends
-//! on — and, under the explicit/conditional switch models, the grouped
-//! program produced by the load-grouping pass. Two guarantees hold at
+//! on — and, under the explicit/conditional switch models or a pinned
+//! `intra` opt level, the grouped program produced by the load-grouping
+//! pass together with its statistics. Two guarantees hold at
 //! any worker count:
 //!
 //! * **Each key builds exactly once.** Every key maps to a `OnceLock`
@@ -38,13 +39,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use mtsim_apps::{build_app, AppKind, BuiltApp, Scale};
 use mtsim_asm::Program;
 use mtsim_core::DecodedProgram;
-use mtsim_opt::{optimize, OptLevel, OptStats};
+use mtsim_opt::GroupStats;
 
 use crate::checkpoint::fnv1a64;
 
 type Key = (AppKind, Scale, usize);
-/// A cached optimizer output: the rewritten image with its statistics.
-type OptArtifact = Arc<(Program, OptStats)>;
+/// A cached grouping-pass output: the rewritten image with its statistics.
+type Grouped = (Arc<Program>, Arc<GroupStats>);
 
 /// One cached slot plus the logical time of its most recent lookup.
 struct Entry<T> {
@@ -63,17 +64,13 @@ impl<T> Entry<T> {
 pub struct ArtifactCache {
     built: Mutex<HashMap<Key, Entry<Arc<BuiltApp>>>>,
     /// Grouped programs keyed by the *content hash* of the source
-    /// program, so shape-invariant programs group once per sweep.
-    grouped: Mutex<HashMap<u64, Entry<Arc<Program>>>>,
+    /// program, so shape-invariant programs group once per sweep. The
+    /// statistics ride along: they are a pure function of the same key.
+    grouped: Mutex<HashMap<u64, Entry<Grouped>>>,
     /// Pre-decoded programs (DESIGN.md §20), also keyed by content
     /// hash: the engine's dense decoded form is resolved once per
     /// distinct program per cache lifetime, never per grid point.
     decoded: Mutex<HashMap<u64, Entry<Arc<DecodedProgram>>>>,
-    /// Multi-pass optimizer outputs (DESIGN.md §21), keyed by the source
-    /// program's content hash plus the level, so shape-invariant
-    /// programs optimize once per sweep per level. The statistics ride
-    /// along: they are a pure function of the same key.
-    optimized: Mutex<HashMap<(u64, OptLevel), Entry<OptArtifact>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -111,9 +108,15 @@ impl ArtifactCache {
     }
 
     /// The grouped (explicit-switch) program for `(app, scale,
-    /// nthreads)`, deriving it from the built application on first use.
-    /// The boolean is true on a cache hit.
-    pub fn grouped(&self, app: AppKind, scale: Scale, nthreads: usize) -> (Arc<Program>, bool) {
+    /// nthreads)` and the grouping pass's statistics, deriving both from
+    /// the built application on first use. The boolean is true on a
+    /// cache hit.
+    pub fn grouped(
+        &self,
+        app: AppKind,
+        scale: Scale,
+        nthreads: usize,
+    ) -> (Arc<Program>, Arc<GroupStats>, bool) {
         let (base, _) = self.built(app, scale, nthreads);
         let content = fnv1a64(base.program.listing().as_bytes());
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -124,44 +127,13 @@ impl ArtifactCache {
             Arc::clone(&entry.slot)
         };
         let mut built_here = false;
-        let value = slot.get_or_init(|| {
+        let (program, stats) = slot.get_or_init(|| {
             built_here = true;
-            Arc::new(base.grouped().0)
+            let (program, stats) = base.grouped();
+            (Arc::new(program), Arc::new(stats))
         });
         self.count(built_here);
-        (Arc::clone(value), !built_here)
-    }
-
-    /// The program produced by the multi-pass optimizer pipeline at
-    /// `level` plus its per-pass statistics, deriving both from the
-    /// built application on first use. Like grouped programs, entries
-    /// are keyed by the source program's content hash (plus the level),
-    /// so shape-invariant applications pay for one pipeline run per
-    /// level per cache lifetime. The boolean is true on a cache hit.
-    pub fn optimized(
-        &self,
-        app: AppKind,
-        scale: Scale,
-        nthreads: usize,
-        level: OptLevel,
-    ) -> (OptArtifact, bool) {
-        let (base, _) = self.built(app, scale, nthreads);
-        let content = fnv1a64(base.program.listing().as_bytes());
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut map = self.optimized.lock().unwrap();
-            let entry = map.entry((content, level)).or_insert_with(|| Entry::new(stamp));
-            entry.stamp = stamp;
-            Arc::clone(&entry.slot)
-        };
-        let mut built_here = false;
-        let value = slot.get_or_init(|| {
-            built_here = true;
-            let r = optimize(&base.program, level);
-            Arc::new((r.program, r.stats))
-        });
-        self.count(built_here);
-        (Arc::clone(value), !built_here)
+        (Arc::clone(program), Arc::clone(stats), !built_here)
     }
 
     /// The pre-decoded form of `program`, decoding it on first use. Like
@@ -212,16 +184,15 @@ impl ArtifactCache {
     }
 
     /// Entries currently resident (built apps + grouped programs +
-    /// decoded programs + optimizer outputs).
+    /// decoded programs).
     pub fn entries(&self) -> usize {
         self.built.lock().unwrap().len()
             + self.grouped.lock().unwrap().len()
             + self.decoded.lock().unwrap().len()
-            + self.optimized.lock().unwrap().len()
     }
 
     /// Evicts least-recently-used entries until at most `max_entries`
-    /// remain across both maps; returns how many were dropped. Meant to
+    /// remain across every map; returns how many were dropped. Meant to
     /// run *between* sweeps (a service calls it after each job): entries
     /// a running sweep already looked up stay alive through their
     /// `Arc`s regardless, but evicting mid-sweep would skew that sweep's
@@ -233,18 +204,15 @@ impl ArtifactCache {
         let mut built = self.built.lock().unwrap();
         let mut grouped = self.grouped.lock().unwrap();
         let mut decoded = self.decoded.lock().unwrap();
-        let mut optimized = self.optimized.lock().unwrap();
         let mut dropped = 0u64;
-        while built.len() + grouped.len() + decoded.len() + optimized.len() > max_entries {
+        while built.len() + grouped.len() + decoded.len() > max_entries {
             let ob = oldest(&built);
             let og = oldest(&grouped);
             let od = oldest(&decoded);
-            let oo = oldest(&optimized);
             let sb = ob.map_or(u64::MAX, |(_, s)| s);
             let sg = og.map_or(u64::MAX, |(_, s)| s);
             let sd = od.map_or(u64::MAX, |(_, s)| s);
-            let so = oo.map_or(u64::MAX, |(_, s)| s);
-            let min = sb.min(sg).min(sd).min(so);
+            let min = sb.min(sg).min(sd);
             if min == u64::MAX {
                 break;
             }
@@ -254,10 +222,8 @@ impl ArtifactCache {
                 built.remove(&ob.unwrap().0);
             } else if sg == min {
                 grouped.remove(&og.unwrap().0);
-            } else if sd == min {
-                decoded.remove(&od.unwrap().0);
             } else {
-                optimized.remove(&oo.unwrap().0);
+                decoded.remove(&od.unwrap().0);
             }
             dropped += 1;
         }
@@ -305,12 +271,14 @@ mod tests {
     #[test]
     fn grouped_program_matches_a_fresh_grouping() {
         let cache = ArtifactCache::new();
-        let (grouped, hit) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
+        let (grouped, stats, hit) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
         assert!(!hit);
-        let fresh = build_app(AppKind::Sieve, Scale::Tiny, 2).grouped().0;
+        let (fresh, fresh_stats) = build_app(AppKind::Sieve, Scale::Tiny, 2).grouped();
         assert_eq!(*grouped, fresh);
-        let (_, hit2) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
+        assert_eq!(*stats, fresh_stats);
+        let (again, again_stats, hit2) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
         assert!(hit2);
+        assert!(Arc::ptr_eq(&grouped, &again) && Arc::ptr_eq(&stats, &again_stats));
     }
 
     #[test]
@@ -318,37 +286,14 @@ mod tests {
         // Blkmat emits the same program at every thread count (only its
         // input image differs), so two thread counts share one grouping.
         let cache = ArtifactCache::new();
-        let (g1, _) = cache.grouped(AppKind::Blkmat, Scale::Tiny, 1);
-        let (g2, hit) = cache.grouped(AppKind::Blkmat, Scale::Tiny, 2);
+        let (g1, _, _) = cache.grouped(AppKind::Blkmat, Scale::Tiny, 1);
+        let (g2, _, hit) = cache.grouped(AppKind::Blkmat, Scale::Tiny, 2);
         assert!(Arc::ptr_eq(&g1, &g2), "identical programs must share a grouping");
         assert!(hit);
         // Sieve's program depends on the thread count, so it must not.
-        let (s1, _) = cache.grouped(AppKind::Sieve, Scale::Tiny, 1);
-        let (s2, _) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
+        let (s1, _, _) = cache.grouped(AppKind::Sieve, Scale::Tiny, 1);
+        let (s2, _, _) = cache.grouped(AppKind::Sieve, Scale::Tiny, 2);
         assert!(!Arc::ptr_eq(&s1, &s2));
-    }
-
-    #[test]
-    fn optimized_programs_dedupe_by_content_and_level() {
-        let cache = ArtifactCache::new();
-        let (o1, hit) = cache.optimized(AppKind::Sieve, Scale::Tiny, 2, OptLevel::Intra);
-        assert!(!hit);
-        // Intra through the pipeline is bit-identical to the legacy
-        // grouping pass the `grouped` map serves.
-        let fresh = build_app(AppKind::Sieve, Scale::Tiny, 2).grouped().0;
-        assert_eq!(o1.0.listing(), fresh.listing());
-        let (o2, hit2) = cache.optimized(AppKind::Sieve, Scale::Tiny, 2, OptLevel::Intra);
-        assert!(hit2);
-        assert!(Arc::ptr_eq(&o1, &o2));
-        // A different level is a different entry.
-        let (o3, hit3) = cache.optimized(AppKind::Sieve, Scale::Tiny, 2, OptLevel::Inter);
-        assert!(!hit3);
-        assert!(!Arc::ptr_eq(&o1, &o3));
-        // Shape-invariant apps share one entry across thread counts.
-        let (b1, _) = cache.optimized(AppKind::Blkmat, Scale::Tiny, 1, OptLevel::InterPipeline);
-        let (b2, hit4) = cache.optimized(AppKind::Blkmat, Scale::Tiny, 2, OptLevel::InterPipeline);
-        assert!(hit4);
-        assert!(Arc::ptr_eq(&b1, &b2));
     }
 
     #[test]

@@ -508,8 +508,6 @@ pub(crate) fn record_line(seq: u64, o: &JobOutcome) -> String {
                 j.key("opt").begin_object();
                 j.key("grouped_loads").u64(op.grouped_loads);
                 j.key("groups").u64(op.groups);
-                j.key("hoisted_loads").u64(op.hoisted_loads);
-                j.key("pipelined_loads").u64(op.pipelined_loads);
                 j.end();
             }
         }
@@ -595,12 +593,7 @@ fn record_from(jv: &Jv) -> Result<CkptRecord, String> {
             let f = |name: &str| {
                 o.get(name).and_then(Jv::as_u64).ok_or_else(|| format!("missing opt {name:?}"))
             };
-            Some(OptCols {
-                grouped_loads: f("grouped_loads")?,
-                groups: f("groups")?,
-                hoisted_loads: f("hoisted_loads")?,
-                pipelined_loads: f("pipelined_loads")?,
-            })
+            Some(OptCols { grouped_loads: f("grouped_loads")?, groups: f("groups")? })
         }
     };
     Ok(CkptRecord { seq, id, attempts, quarantined, result, attr, opt })

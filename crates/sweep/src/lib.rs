@@ -47,6 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mtsim_core::{Machine, MachineScratch, NoopRecorder, ObsRecorder};
+use mtsim_opt::OptLevel;
 
 pub use cache::ArtifactCache;
 pub use checkpoint::{load_checkpoint, spec_hash, Checkpoint, SweepError};
@@ -474,36 +475,32 @@ fn run_one(
 
     // Program selection. `Auto` mirrors `mtsim_apps::run_app`'s
     // model-aware choice (grouped iff the model needs explicit switches)
-    // through the cache; a pinned level runs the multi-pass optimizer
-    // pipeline's output under every model (a `Switch` is a 1-cycle no-op
-    // on the implicit machines). The scratch-key variant byte
+    // through the cache; a pinned level runs its image under every model
+    // (a `Switch` is a 1-cycle no-op on the implicit machines) and
+    // records the grouping statistics. The scratch-key variant byte
     // discriminates every distinct artifact: 0 = base, 1 = auto-grouped,
-    // 2.. = pinned levels.
-    let grouped_program;
-    let optimized_artifact;
+    // 2 = pinned `none`, 3 = pinned `intra`.
+    let mut group = || {
+        let (program, stats, hit) = cache.grouped(spec.app, spec.scale, spec.nthreads());
+        cache_hit = cache_hit && hit;
+        (program, stats)
+    };
+    let grouped;
     let (program, variant, opt_cols) = match spec.opt {
-        OptChoice::Auto => {
-            if cfg.model.uses_explicit_switch() {
-                let (grouped, hit) = cache.grouped(spec.app, spec.scale, spec.nthreads());
-                cache_hit = cache_hit && hit;
-                grouped_program = grouped;
-                (&*grouped_program, 1u8, None)
-            } else {
-                (&app.program, 0u8, None)
-            }
+        OptChoice::Auto if cfg.model.uses_explicit_switch() => {
+            grouped = group().0;
+            (&*grouped, 1u8, None)
         }
-        OptChoice::Level(level) => {
-            let (art, hit) = cache.optimized(spec.app, spec.scale, spec.nthreads(), level);
-            cache_hit = cache_hit && hit;
-            optimized_artifact = art;
-            let stats = &optimized_artifact.1;
+        OptChoice::Auto => (&app.program, 0, None),
+        OptChoice::Level(OptLevel::None) => (&app.program, 2, Some(OptCols::default())),
+        OptChoice::Level(OptLevel::Intra) => {
+            let (program, stats) = group();
+            grouped = program;
             let cols = OptCols {
-                grouped_loads: stats.group.grouped_loads as u64,
-                groups: stats.group.switches_inserted as u64,
-                hoisted_loads: stats.hoisted_loads as u64,
-                pipelined_loads: stats.pipelined_loads as u64,
+                grouped_loads: stats.grouped_loads as u64,
+                groups: stats.switches_inserted as u64,
             };
-            (&optimized_artifact.0, 2 + level as u8, Some(cols))
+            (&*grouped, 3, Some(cols))
         }
     };
     let key = scratch_key(spec, program, variant);
@@ -584,16 +581,16 @@ mod tests {
     #[test]
     fn pinned_intra_matches_auto_under_explicit_switch() {
         // Under the explicit-switch model, `auto` selects the grouped
-        // program and `intra` runs the same pass through the pipeline:
-        // the simulated results must be identical, and only the pinned
-        // point carries optimizer columns.
+        // program and `intra` pins the same cached grouping: the
+        // simulated results must be identical, and only the pinned point
+        // carries optimizer columns.
         let spec = SweepSpec {
             apps: vec![AppKind::Sieve],
             models: vec![SwitchModel::ExplicitSwitch],
             procs: vec![2],
             threads: vec![2],
             scale: Scale::Tiny,
-            opts: vec![OptChoice::Auto, OptChoice::Level(mtsim_opt::OptLevel::Intra)],
+            opts: vec![OptChoice::Auto, OptChoice::Level(OptLevel::Intra)],
             ..SweepSpec::default()
         };
         let out = run_sweep(&spec, &SweepOpts::default()).unwrap();
@@ -608,41 +605,32 @@ mod tests {
     }
 
     #[test]
-    fn pinned_inter_pipeline_levels_run_and_verify_on_every_model() {
+    fn pinned_levels_run_and_verify_on_every_model() {
         let spec = SweepSpec {
             apps: vec![AppKind::Sieve],
             models: vec![SwitchModel::SwitchOnLoad, SwitchModel::SwitchOnMiss],
             procs: vec![2],
             threads: vec![2],
             scale: Scale::Tiny,
-            opts: vec![
-                OptChoice::Level(mtsim_opt::OptLevel::None),
-                OptChoice::Level(mtsim_opt::OptLevel::Inter),
-                OptChoice::Level(mtsim_opt::OptLevel::InterPipeline),
-            ],
+            opts: OptLevel::ALL.into_iter().map(OptChoice::Level).collect(),
             ..SweepSpec::default()
         };
         let out = run_sweep(&spec, &SweepOpts::default()).unwrap();
         assert_eq!(
             out.ok_count(),
-            6,
+            4,
             "{:?}",
             out.jobs.iter().map(|j| &j.result).collect::<Vec<_>>()
         );
         for job in &out.jobs {
             let cols = job.opt.expect("every pinned point records optimizer stats");
             match job.spec.opt {
-                OptChoice::Level(mtsim_opt::OptLevel::None) => {
-                    assert_eq!(cols, OptCols::default());
-                }
-                OptChoice::Level(mtsim_opt::OptLevel::InterPipeline) => {
-                    assert!(cols.groups > 0);
-                }
-                _ => {}
+                OptChoice::Level(OptLevel::None) => assert_eq!(cols, OptCols::default()),
+                _ => assert!(cols.groups > 0),
             }
         }
         let csv = out.results_csv();
-        assert!(csv.lines().next().unwrap().ends_with("group_mean,hoisted_loads,pipelined_loads"));
+        assert!(csv.lines().next().unwrap().ends_with(",group_mean"));
     }
 
     #[test]

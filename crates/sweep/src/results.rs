@@ -73,21 +73,17 @@ impl std::fmt::Display for JobError {
     }
 }
 
-/// Static optimizer statistics for one grid point, recorded when the
-/// point ran with a pinned [`crate::OptChoice::Level`] (DESIGN.md §21).
-/// Pure functions of the program and the level — deterministic, so they
-/// belong in the result table. `group_mean` is derived at render time as
-/// `grouped_loads / groups` (0 when no groups formed).
+/// Static grouping statistics for one grid point, recorded when the
+/// point ran with a pinned [`crate::OptChoice::Level`] (all zero for
+/// `none`). Pure functions of the program and the level — deterministic,
+/// so they belong in the result table. `group_mean` is derived at render
+/// time as `grouped_loads / groups` (0 when no groups formed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptCols {
     /// Shared loads placed into switch-terminated groups.
     pub grouped_loads: u64,
     /// Number of groups (switches inserted) by the grouping pass.
     pub groups: u64,
-    /// Loads hoisted along dominator edges by the inter-block pass.
-    pub hoisted_loads: u64,
-    /// Loads issued an iteration early by the software-pipelining pass.
-    pub pipelined_loads: u64,
 }
 
 impl OptCols {
@@ -274,8 +270,6 @@ impl SweepOutcome {
                         j.key("grouped_loads").u64(o.grouped_loads);
                         j.key("groups").u64(o.groups);
                         j.key("group_mean").f64(o.group_mean());
-                        j.key("hoisted_loads").u64(o.hoisted_loads);
-                        j.key("pipelined_loads").u64(o.pipelined_loads);
                         j.end();
                     }
                 }
@@ -340,7 +334,7 @@ impl SweepOutcome {
         }
         if with_opt {
             let trimmed = out.trim_end().to_string();
-            out = trimmed + ",group_mean,hoisted_loads,pipelined_loads\n";
+            out = trimmed + ",group_mean\n";
         }
         for job in &self.jobs {
             let s = &job.spec;
@@ -399,13 +393,8 @@ impl SweepOutcome {
             }
             if with_opt {
                 match &job.opt {
-                    Some(o) => out.push_str(&format!(
-                        ",{},{},{}",
-                        o.group_mean(),
-                        o.hoisted_loads,
-                        o.pipelined_loads
-                    )),
-                    None => out.push_str(",,,"),
+                    Some(o) => out.push_str(&format!(",{}", o.group_mean())),
+                    None => out.push(','),
                 }
             }
             out.push('\n');
@@ -539,18 +528,16 @@ mod tests {
         assert!(plain.results_csv().lines().next().unwrap().contains(",net,opt,status"));
 
         let mut pinned = outcome_with(vec![Ok(ok), Ok(ok)]);
-        pinned.jobs[0].opt =
-            Some(OptCols { grouped_loads: 6, groups: 3, hoisted_loads: 2, pipelined_loads: 1 });
+        pinned.jobs[0].opt = Some(OptCols { grouped_loads: 6, groups: 3 });
         let csv = pinned.results_csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].ends_with("group_mean,hoisted_loads,pipelined_loads"));
+        assert!(lines[0].ends_with(",net_fa_combined,error_kind,group_mean"));
         let cols = lines[0].split(',').count();
         assert!(lines[1..].iter().all(|l| l.split(',').count() == cols), "ragged csv:\n{csv}");
-        assert!(lines[1].ends_with(",2,2,1"), "row: {}", lines[1]);
+        assert!(lines[1].ends_with(",2"), "row: {}", lines[1]);
+        assert!(lines[2].ends_with(","), "row: {}", lines[2]);
         let json = pinned.results_json();
-        assert!(json.contains(
-            r#""opt_stats":{"grouped_loads":6,"groups":3,"group_mean":2.0,"hoisted_loads":2,"pipelined_loads":1}"#
-        ));
+        assert!(json.contains(r#""opt_stats":{"grouped_loads":6,"groups":3,"group_mean":2.0}"#));
         assert_eq!(OptCols::default().group_mean(), 0.0);
     }
 

@@ -14,9 +14,9 @@ pub enum OptChoice {
     /// switch model needs explicit switches. Keeps historical sweeps
     /// byte-identical.
     Auto,
-    /// Run the multi-pass optimizer pipeline at this level regardless of
-    /// model (DESIGN.md §21); the resulting program runs under every
-    /// model (a `Switch` is a 1-cycle no-op on the implicit machines).
+    /// Run this level's image regardless of model: `none` is the
+    /// compiler-natural program, `intra` the grouped one (a `Switch` is
+    /// a 1-cycle no-op on the implicit machines).
     Level(OptLevel),
 }
 
@@ -71,7 +71,7 @@ pub struct SweepSpec {
     /// Interconnection-network topologies (PR 4). `Constant` is the
     /// paper's contention-free pipe and simulates no network at all.
     pub nets: Vec<Topology>,
-    /// Optimizer-pipeline axis (DESIGN.md §21). The default `[Auto]`
+    /// Optimizer axis: `auto`, `none` or `intra`. The default `[Auto]`
     /// reproduces the legacy model-aware program selection exactly.
     pub opts: Vec<OptChoice>,
     /// Link bandwidth in bits/cycle for contention topologies.
@@ -452,8 +452,8 @@ pub struct JobSpec {
     pub drop_rate: f64,
     /// Interconnection-network topology (`Constant` = no network).
     pub net: Topology,
-    /// Optimizer-pipeline choice for this point (`Auto` = legacy
-    /// model-aware selection).
+    /// Optimizer choice for this point (`Auto` = legacy model-aware
+    /// selection).
     pub opt: OptChoice,
     /// Link bandwidth in bits/cycle for contention topologies.
     pub link_bw: u64,
@@ -558,7 +558,7 @@ mod tests {
         s.set("t", "1-3").unwrap();
         s.set("drop", "0,0.05").unwrap();
         s.set("net", "mesh").unwrap();
-        s.set("opt", "auto,inter-pipeline").unwrap();
+        s.set("opt", "auto,none").unwrap();
         s.set("link-bw", "8").unwrap();
         s.set("combining", "true").unwrap();
         s.set("attr", "true").unwrap();
@@ -638,28 +638,30 @@ mod tests {
     #[test]
     fn opt_axis_expands_innermost_and_round_trips() {
         let mut s = SweepSpec::default();
-        s.set("opt", "auto, intra,inter-pipeline").unwrap();
+        s.set("opt", "auto, intra,none").unwrap();
         assert_eq!(
             s.opts,
             vec![
                 OptChoice::Auto,
                 OptChoice::Level(OptLevel::Intra),
-                OptChoice::Level(OptLevel::InterPipeline)
+                OptChoice::Level(OptLevel::None)
             ]
         );
         assert_eq!(s.len(), 6); // 2 threads × 3 opt levels
         let jobs = s.expand();
         assert_eq!(jobs[0].opt, OptChoice::Auto);
         assert_eq!(jobs[1].opt, OptChoice::Level(OptLevel::Intra));
-        assert_eq!(jobs[2].opt, OptChoice::Level(OptLevel::InterPipeline));
+        assert_eq!(jobs[2].opt, OptChoice::Level(OptLevel::None));
         assert_eq!(jobs[3].opt, OptChoice::Auto, "opt nests innermost");
-        assert!(s.set("opt", "superduper").is_err());
+        for gone in ["superduper", "inter", "inter-pipeline"] {
+            assert!(s.set("opt", gone).is_err(), "{gone}");
+        }
 
         s.set("opt-level", "all").unwrap();
-        assert_eq!(s.opts.len(), 1 + OptLevel::ALL.len());
+        assert_eq!(s.opts.len(), 3);
         assert_eq!(s.opts[0], OptChoice::Auto);
 
-        for o in [OptChoice::Auto, OptChoice::Level(OptLevel::Inter)] {
+        for o in [OptChoice::Auto, OptChoice::Level(OptLevel::Intra)] {
             assert_eq!(OptChoice::from_name(o.name()), Some(o));
             assert_eq!(format!("{o}"), o.name());
         }

@@ -93,8 +93,8 @@ fn miscompiled_fixture_is_caught_and_shrunk() {
 }
 
 /// True when some illegally-hoisted variant (a load lifted above an
-/// aliasing store across a block boundary — the move the inter-block
-/// pass's legality rules forbid) diverges from the oracle.
+/// aliasing store across a block boundary — a move the paper's
+/// pessimistic aliasing forbids) diverges from the oracle.
 fn bad_hoist_detected(tp: &TestProgram) -> bool {
     let case = tp.with_nthreads(1).emit();
     let cfg = MachineConfig::new(SwitchModel::Ideal, 1, 1);
@@ -113,9 +113,9 @@ fn bad_hoist_detected(tp: &TestProgram) -> bool {
     })
 }
 
-/// The hoisting pass's aliasing rule, checked end to end: drop it (a
-/// store/load swap across a block boundary), prove the harness notices,
-/// and shrink the witness.
+/// The cross-block aliasing rule, checked end to end: break it (a
+/// store/load swap across a block boundary in the grouped image), prove
+/// the harness notices, and shrink the witness.
 #[test]
 fn illegal_interblock_hoist_is_caught_and_shrunk() {
     // A store whose value a loop-carried load observes: hoisting the
@@ -150,11 +150,11 @@ fn illegal_interblock_hoist_is_caught_and_shrunk() {
     assert!(metric(&min) <= metric(&tp));
 }
 
-/// The honest passes — legacy grouping and every optimizer pipeline —
+/// The honest images — the natural program and every opt level's —
 /// must never trip the same detector.
 #[test]
 fn honest_optimizer_pipelines_are_not_flagged() {
-    use mtsim::opt::{optimize, OptLevel};
+    use mtsim::opt::{group_shared_loads, OptLevel};
     for seed in 0..12 {
         let tp = generate(seed);
         let case = tp.with_nthreads(1).emit();
@@ -162,9 +162,10 @@ fn honest_optimizer_pipelines_are_not_flagged() {
         let local_words = cfg.local_mem_words.max(case.program.local_words());
         let oracle =
             run_oracle(&case.program, case.shared.clone(), 1, local_words, 1_000_000).unwrap();
-        let legacy = mtsim::opt::group_shared_loads(&case.program).program;
-        let images = std::iter::once(legacy)
-            .chain(OptLevel::ALL.into_iter().map(|l| optimize(&case.program, l).program));
+        let images = OptLevel::ALL.map(|l| match l {
+            OptLevel::None => case.program.clone(),
+            OptLevel::Intra => group_shared_loads(&case.program).program,
+        });
         for prog in images {
             let mut cfg = MachineConfig::new(SwitchModel::Ideal, 1, 1);
             cfg.max_cycles = 10_000_000;
