@@ -1,8 +1,12 @@
 //! Common application harness: built-app container, model-aware runner,
 //! and the paper's efficiency metric.
 
+use std::borrow::Cow;
+
 use mtsim_asm::Program;
-use mtsim_core::{Machine, MachineConfig, ObsRecorder, RunResult, SimError, SwitchModel};
+use mtsim_core::{
+    Machine, MachineConfig, NoopRecorder, Recorder, RunResult, SimError, SwitchModel,
+};
 use mtsim_mem::SharedMemory;
 use mtsim_opt::{group_shared_loads, GroupStats};
 
@@ -116,8 +120,20 @@ impl BuiltApp {
     }
 }
 
-/// Runs `app` under `cfg`, automatically selecting the grouped program for
-/// the explicit/conditional-switch models, and verifies the result.
+/// The program image `model` runs: the §5.1 grouped image when the model
+/// switches explicitly (its only context switches are the `Switch`
+/// instructions grouping inserts), else `program` itself.
+pub fn program_for(program: &Program, model: SwitchModel) -> Cow<'_, Program> {
+    if model.uses_explicit_switch() {
+        Cow::Owned(group_shared_loads(program).program)
+    } else {
+        Cow::Borrowed(program)
+    }
+}
+
+/// Runs `program` — an image of `app`, e.g. from [`program_for`] — on
+/// `app`'s input under `cfg` with `rec` attached, and verifies the
+/// result.
 ///
 /// # Errors
 ///
@@ -125,102 +141,37 @@ impl BuiltApp {
 /// exhaustion, deadlock, watchdog, bad program, bad config — including a
 /// thread-count mismatch between the app image and `cfg`) and
 /// [`RunError::Verify`] when the final memory image fails the host check.
-pub fn run_app(app: &BuiltApp, cfg: MachineConfig) -> Result<RunResult, RunError> {
-    if cfg.total_threads() != app.nthreads {
-        return Err(RunError::Sim {
-            app: app.name.clone(),
-            err: SimError::Config {
-                detail: format!(
-                    "app was built for {} threads, config asks for {}",
-                    app.nthreads,
-                    cfg.total_threads()
-                ),
-            },
-        });
-    }
-    let program =
-        if cfg.model.uses_explicit_switch() { app.grouped().0 } else { app.program.clone() };
-    let fin = Machine::try_new(cfg, &program, app.shared.clone())
-        .and_then(Machine::run)
-        .map_err(|err| RunError::Sim { app: app.name.clone(), err })?;
-    app.verify(&fin.shared).map_err(|detail| RunError::Verify { app: app.name.clone(), detail })?;
-    Ok(fin.result)
-}
-
-/// Runs `app` under `cfg` with a full observability recorder attached
-/// (event trace, cycle attribution, histograms — DESIGN.md §17), and
-/// verifies the result. `ring_capacity` bounds the event trace; the ring
-/// keeps the most recent events and counts the rest as dropped.
-///
-/// # Errors
-///
-/// Same contract as [`run_app`].
-pub fn profile_app(
-    app: &BuiltApp,
-    cfg: MachineConfig,
-    ring_capacity: usize,
-) -> Result<(RunResult, ObsRecorder), RunError> {
-    if cfg.total_threads() != app.nthreads {
-        return Err(RunError::Sim {
-            app: app.name.clone(),
-            err: SimError::Config {
-                detail: format!(
-                    "app was built for {} threads, config asks for {}",
-                    app.nthreads,
-                    cfg.total_threads()
-                ),
-            },
-        });
-    }
-    let mut rec = ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), ring_capacity);
-    let program =
-        if cfg.model.uses_explicit_switch() { app.grouped().0 } else { app.program.clone() };
-    let fin = Machine::try_new(cfg, &program, app.shared.clone())
-        .and_then(|m| m.run_with(&mut rec))
-        .map_err(|err| RunError::Sim { app: app.name.clone(), err })?;
-    app.verify(&fin.shared).map_err(|detail| RunError::Verify { app: app.name.clone(), detail })?;
-    Ok((fin.result, rec))
-}
-
-/// Runs `app` with an explicitly chosen program variant and a full
-/// observability recorder attached (the `--stats`/`--opt-level` path of
-/// `mtsim run`). Same contract as [`profile_app`], but the caller picks
-/// the program image — e.g. one produced by [`BuiltApp::optimized`].
-///
-/// # Errors
-///
-/// Same contract as [`run_app`].
-pub fn profile_app_with_program(
+pub fn run_program<R: Recorder>(
     app: &BuiltApp,
     program: &Program,
     cfg: MachineConfig,
-    ring_capacity: usize,
-) -> Result<(RunResult, ObsRecorder), RunError> {
-    let mut rec = ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), ring_capacity);
-    let fin = Machine::try_new(cfg, program, app.shared.clone())
-        .and_then(|m| m.run_with(&mut rec))
-        .map_err(|err| RunError::Sim { app: app.name.clone(), err })?;
-    app.verify(&fin.shared).map_err(|detail| RunError::Verify { app: app.name.clone(), detail })?;
-    Ok((fin.result, rec))
-}
-
-/// Runs `app` with an explicitly chosen program variant (used by the
-/// Table 6 estimator runs and the ablation benches).
-///
-/// # Errors
-///
-/// Returns [`RunError::Sim`] for typed simulator errors and
-/// [`RunError::Verify`] for host-check mismatches.
-pub fn run_app_with_program(
-    app: &BuiltApp,
-    program: &Program,
-    cfg: MachineConfig,
+    rec: &mut R,
 ) -> Result<RunResult, RunError> {
+    let sim_err = |err| RunError::Sim { app: app.name.clone(), err };
+    if cfg.total_threads() != app.nthreads {
+        return Err(sim_err(SimError::Config {
+            detail: format!(
+                "app was built for {} threads, config asks for {}",
+                app.nthreads,
+                cfg.total_threads()
+            ),
+        }));
+    }
     let fin = Machine::try_new(cfg, program, app.shared.clone())
-        .and_then(Machine::run)
-        .map_err(|err| RunError::Sim { app: app.name.clone(), err })?;
+        .and_then(|m| m.run_with(rec))
+        .map_err(sim_err)?;
     app.verify(&fin.shared).map_err(|detail| RunError::Verify { app: app.name.clone(), detail })?;
     Ok(fin.result)
+}
+
+/// Runs `app` under `cfg` on the image [`program_for`] picks for the
+/// model, and verifies the result.
+///
+/// # Errors
+///
+/// Same contract as [`run_program`].
+pub fn run_app(app: &BuiltApp, cfg: MachineConfig) -> Result<RunResult, RunError> {
+    run_program(app, &program_for(&app.program, cfg.model), cfg, &mut NoopRecorder)
 }
 
 /// The paper's efficiency metric: `T_serial_ideal / (P × T_parallel)`,
@@ -230,34 +181,6 @@ pub fn efficiency(baseline_cycles: u64, processors: usize, cycles: u64) -> f64 {
         return 0.0;
     }
     baseline_cycles as f64 / (processors as f64 * cycles as f64)
-}
-
-/// Finds the smallest multithreading level in `1..=max_t` reaching
-/// `target` efficiency for the given app constructor, or `None`.
-///
-/// `build` receives the total thread count (`processors × T`). This is the
-/// sweep behind Tables 3, 5, 6 and 8.
-pub fn threads_for_efficiency(
-    build: &dyn Fn(usize) -> BuiltApp,
-    model: SwitchModel,
-    processors: usize,
-    target: f64,
-    max_t: usize,
-    baseline_cycles: u64,
-) -> Option<usize> {
-    for t in 1..=max_t {
-        let app = build(processors * t);
-        let cfg = MachineConfig::new(model, processors, t);
-        match run_app(&app, cfg) {
-            Ok(r) => {
-                if efficiency(baseline_cycles, processors, r.cycles) >= target {
-                    return Some(t);
-                }
-            }
-            Err(e) => panic!("sweep run failed: {e}"),
-        }
-    }
-    None
 }
 
 /// Runs the app single-threaded on the ideal machine: the baseline for
@@ -280,5 +203,21 @@ mod tests {
         // field is plain data. Keep it that way.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BuiltApp>();
+    }
+
+    #[test]
+    fn a_pinned_program_is_checked_against_the_thread_count() {
+        // Built for 4 threads, run on 2: without the check the engine
+        // would simulate until the barrier deadlocks.
+        let app = crate::build_app(crate::AppKind::Sieve, crate::Scale::Tiny, 4);
+        let cfg = MachineConfig::new(SwitchModel::SwitchOnLoad, 2, 1);
+        for program in [app.program.clone(), app.grouped().0] {
+            let err = run_program(&app, &program, cfg.clone(), &mut NoopRecorder).unwrap_err();
+            assert!(
+                matches!(&err, RunError::Sim { err: SimError::Config { detail }, .. }
+                    if detail == "app was built for 4 threads, config asks for 2"),
+                "{err}"
+            );
+        }
     }
 }

@@ -17,8 +17,11 @@
 //! host-side (pure Rust) reference; `sor`, `water`, `ugray`, `blkmat` and
 //! `mp3d` reproduce the device floating-point computation bit-for-bit.
 //!
-//! The [`harness`] module provides the model-aware runner and the paper's
-//! efficiency metric; [`AppKind`] + [`build_app`] give the benches a
+//! The [`harness`] module provides the one single-point run path —
+//! [`run_program`] runs a chosen image of an app with any recorder
+//! attached and verifies it, [`program_for`] picks the image a switch
+//! model runs, and [`run_app`] composes the two — plus the paper's
+//! efficiency metric. [`AppKind`] + [`build_app`] give the benches a
 //! uniform registry.
 
 pub mod blkmat;
@@ -32,8 +35,7 @@ pub mod ugray;
 pub mod water;
 
 pub use harness::{
-    baseline_cycles, efficiency, profile_app, profile_app_with_program, run_app,
-    run_app_with_program, threads_for_efficiency, BuiltApp, RunError,
+    baseline_cycles, efficiency, program_for, run_app, run_program, BuiltApp, RunError,
 };
 
 /// The seven applications of the paper's Table 1, plus the trace-driven

@@ -10,7 +10,7 @@
 //! host-side (per-address addend sums), so verification is exact.
 
 use crate::harness::BuiltApp;
-use mtsim_replay::{compile, synthesize, SynthConfig};
+use mtsim_replay::{compile, synthesize, SynthConfig, TraceProgram};
 
 /// Workload parameters.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +40,14 @@ pub fn build_replay(params: ReplayParams, nthreads: usize) -> BuiltApp {
         ..SynthConfig::default()
     };
     let tp = compile(&synthesize(&cfg)).expect("synthetic traces stay within the replay caps");
+    replay_app(tp, nthreads)
+}
+
+/// Wraps a compiled trace as an app for a machine with `nthreads`
+/// contexts (at least `tp.nthreads`; contexts beyond the trace's threads
+/// halt on their first instruction), verified against the trace's
+/// predicted final image.
+pub fn replay_app(tp: TraceProgram, nthreads: usize) -> BuiltApp {
     let program = tp.program.clone();
     let shared = tp.shared();
     BuiltApp::new("replay", program, shared, nthreads, move |mem| tp.verify(mem))

@@ -7,10 +7,11 @@
 //! paper-vs-measured comparison and the shape criteria.
 
 use mtsim_apps::{
-    app_builder, build_app, efficiency, run_app, run_app_with_program, AppKind, BuiltApp, Scale,
+    app_builder, baseline_cycles, build_app, efficiency, run_app, run_program, AppKind, Scale,
 };
 use mtsim_core::{
-    MachineConfig, NetworkConfig, RunLengthHist, RunResult, RunStats, SwitchModel, Topology,
+    MachineConfig, NetworkConfig, NoopRecorder, RunLengthHist, RunResult, RunStats, SwitchModel,
+    Topology,
 };
 use mtsim_sweep::{run_job_specs, JobOutcome, JobSpec, OptChoice, SweepOpts};
 
@@ -109,7 +110,7 @@ pub fn fig2(scale: Scale, procs: &[usize]) -> Vec<(AppKind, Vec<EffPoint>)> {
         .iter()
         .map(|&kind| {
             let build = app_builder(kind, scale);
-            let baseline = ideal_baseline(&build);
+            let baseline = baseline_cycles(&build);
             let pts = procs
                 .iter()
                 .map(|&p| {
@@ -123,14 +124,6 @@ pub fn fig2(scale: Scale, procs: &[usize]) -> Vec<(AppKind, Vec<EffPoint>)> {
             (kind, pts)
         })
         .collect()
-}
-
-/// Serial ideal-machine cycles (the denominator of every efficiency).
-pub fn ideal_baseline(build: &dyn Fn(usize) -> BuiltApp) -> u64 {
-    let app = build(1);
-    let mut c = MachineConfig::ideal(1);
-    c.max_cycles = MAX_CYCLES;
-    run_app(&app, c).expect("baseline").cycles
 }
 
 // ---------------------------------------------------------------------
@@ -176,7 +169,7 @@ pub fn run_length_table(scale: Scale, model: SwitchModel) -> Vec<RunLenRow> {
 /// Returns `(label, points)` per curve.
 pub fn fig3(scale: Scale, levels: &[usize], procs: &[usize]) -> Vec<(String, Vec<EffPoint>)> {
     let build = app_builder(AppKind::Sieve, scale);
-    let baseline = ideal_baseline(&build);
+    let baseline = baseline_cycles(&build);
     let mut curves = Vec::new();
 
     let ideal_pts = procs
@@ -291,23 +284,11 @@ pub fn mt_table(scale: Scale, model: SwitchModel, workers: Option<usize>) -> Vec
         jobs.push(baseline_job(a * stride, kind, scale));
         for t in 1..=tmax {
             jobs.push(JobSpec {
-                id: a * stride + t,
-                app: kind,
                 model,
                 procs,
                 threads_per_proc: t,
                 latency: 200,
-                seed: 0,
-                drop_rate: 0.0,
-                net: Topology::Constant,
-                opt: OptChoice::Auto,
-                link_bw: NetworkConfig::constant().link_bw,
-                combining: false,
-                attr: false,
-                scale,
-                max_cycles: MAX_CYCLES,
-                max_retries: 8,
-                smt_width: mtsim_core::DEFAULT_SMT_WIDTH,
+                ..baseline_job(a * stride + t, kind, scale)
             });
         }
     }
@@ -345,11 +326,12 @@ pub fn reorganization_penalty(scale: Scale) -> Vec<(AppKind, f64)> {
             let app = build_app(kind, scale, 1);
             let mut c = MachineConfig::ideal(1);
             c.max_cycles = MAX_CYCLES;
-            let orig = run_app_with_program(&app, &app.program, c.clone())
+            let orig = run_program(&app, &app.program, c.clone(), &mut NoopRecorder)
                 .expect("penalty original")
                 .cycles;
             let (grouped, _) = app.grouped();
-            let re = run_app_with_program(&app, &grouped, c).expect("penalty grouped").cycles;
+            let re =
+                run_program(&app, &grouped, c, &mut NoopRecorder).expect("penalty grouped").cycles;
             (kind, re as f64 / orig as f64 - 1.0)
         })
         .collect()
@@ -382,7 +364,7 @@ pub fn table6(scale: Scale) -> Vec<Table6Row> {
         .map(|&kind| {
             let procs = procs_for(kind, scale);
             let build = app_builder(kind, scale);
-            let baseline = ideal_baseline(&build);
+            let baseline = baseline_cycles(&build);
 
             // Measurement run (moderate T) for hit rate and factors.
             let t0 = 2;
@@ -417,8 +399,6 @@ pub fn table6(scale: Scale) -> Vec<Table6Row> {
                 .collect();
 
             // Revised factor: reads per *taken* switch point.
-            let taken_points = est.reads_issued.saturating_sub(0) as f64;
-            let _ = taken_points;
             let after = if est.switches_taken == 0 {
                 est.reads_issued as f64
             } else {
@@ -489,23 +469,11 @@ pub fn model_frontier(scale: Scale, workers: Option<usize>) -> Vec<ModelFrontier
     for (m, &model) in SwitchModel::ALL.iter().enumerate() {
         for (i, &t) in levels.iter().enumerate() {
             jobs.push(JobSpec {
-                id: nlev + m * nlev + i,
-                app: kind,
                 model,
                 procs,
                 threads_per_proc: t,
                 latency: 200,
-                seed: 0,
-                drop_rate: 0.0,
-                net: Topology::Constant,
-                opt: OptChoice::Auto,
-                link_bw: NetworkConfig::constant().link_bw,
-                combining: false,
-                attr: false,
-                scale,
-                max_cycles: MAX_CYCLES,
-                max_retries: 8,
-                smt_width: mtsim_core::DEFAULT_SMT_WIDTH,
+                ..baseline_job(nlev + m * nlev + i, kind, scale)
             });
         }
     }
@@ -573,9 +541,9 @@ pub fn opt_gains(scale: Scale) -> Vec<OptGainRow> {
             };
 
             let (grouped, stats) = app.grouped();
+            let c = cfg(SwitchModel::ExplicitSwitch, procs, t);
             let r =
-                run_app_with_program(&app, &grouped, cfg(SwitchModel::ExplicitSwitch, procs, t))
-                    .expect("opt_gains grouped run");
+                run_program(&app, &grouped, c, &mut NoopRecorder).expect("opt_gains grouped run");
             OptGainRow {
                 app: kind,
                 cycles: r.cycles,
@@ -790,23 +758,11 @@ pub fn latency_sweep(
     for (i, &lat) in latencies.iter().enumerate() {
         for (m, &model) in LATENCY_MODELS.iter().enumerate() {
             jobs.push(JobSpec {
-                id: 1 + i * LATENCY_MODELS.len() + m,
-                app: kind,
                 model,
                 procs,
                 threads_per_proc: t,
                 latency: lat,
-                seed: 0,
-                drop_rate: 0.0,
-                net: Topology::Constant,
-                opt: OptChoice::Auto,
-                link_bw: NetworkConfig::constant().link_bw,
-                combining: false,
-                attr: false,
-                scale,
-                max_cycles: MAX_CYCLES,
-                max_retries: 8,
-                smt_width: mtsim_core::DEFAULT_SMT_WIDTH,
+                ..baseline_job(1 + i * LATENCY_MODELS.len() + m, kind, scale)
             });
         }
     }
@@ -898,23 +854,13 @@ pub fn net_contention(
         for &(topology, combining) in &configs {
             for &t in ts {
                 jobs.push(JobSpec {
-                    id: jobs.len(),
-                    app: kind,
                     model,
                     procs,
                     threads_per_proc: t,
                     latency: 200,
-                    seed: 0,
-                    drop_rate: 0.0,
                     net: topology,
-                    opt: OptChoice::Auto,
-                    link_bw: NetworkConfig::constant().link_bw,
                     combining,
-                    attr: false,
-                    scale,
-                    max_cycles: MAX_CYCLES,
-                    max_retries: 8,
-                    smt_width: mtsim_core::DEFAULT_SMT_WIDTH,
+                    ..baseline_job(jobs.len(), kind, scale)
                 });
             }
         }

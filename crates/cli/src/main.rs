@@ -13,11 +13,12 @@
 //!            [-t N] [--diff]
 //! mtsim models
 //! mtsim compile <file.mtc> [-t N] [--grouped]
-//! mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--stats]
-//!                [--seed N] [--fault-drop R] [--fault-delay R]
+//! mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--max-cycles N]
+//!                [--stats] [--seed N] [--fault-drop R] [--fault-delay R]
 //!                [--fault-dup R] [--latency-dist D] [--max-retries N]
 //!                [--net T] [--link-bw N] [--combining]
 //! mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]
+//!                [--max-run N|off] [--max-cycles N]
 //!                [--out trace.json] [--ring N] [--attr] [fault/net flags]
 //! mtsim sweep [--spec FILE] [--apps A,B|all] [--models M,N|all] [--p LIST]
 //!             [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]
@@ -28,8 +29,8 @@
 //!             [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]
 //! mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N]
 //!             [--chaos N]
-//! mtsim replay <trace.txt> [--model M] [-p N] [-t N] [--latency N] [--stats]
-//!              [--net T] [--link-bw N] [--combining]
+//! mtsim replay <trace.txt> [--model M] [-p N] [-t N] [--latency N]
+//!              [--max-cycles N] [--stats] [--net T] [--link-bw N] [--combining]
 //! mtsim replay --synth SEED [-p N] [-t N] [--events N] [--addr-words N]
 //!              [--locality R] [--sharing R] [model/net flags]
 //! mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]
@@ -125,10 +126,10 @@
 mod flags;
 
 use flags::{net_config, parse_latency_dist, FlagError};
-use mtsim_apps::{
-    build_app, profile_app, profile_app_with_program, run_app, run_app_with_program, AppKind, Scale,
-};
-use mtsim_core::{MachineConfig, StreamHist, SwitchModel};
+use std::borrow::Cow;
+
+use mtsim_apps::{build_app, program_for, replay::replay_app, run_program, AppKind, Scale};
+use mtsim_core::{Machine, MachineConfig, NoopRecorder, ObsRecorder, StreamHist, SwitchModel};
 use mtsim_mem::FaultConfig;
 use mtsim_opt::{GroupStats, OptLevel};
 use mtsim_sweep::{OptChoice, SweepOpts, SweepSpec};
@@ -147,7 +148,7 @@ const EXIT_ABORTED: i32 = 4;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--stats] [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n\napps: {}\nmodels: {}",
+        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--max-cycles N] [--stats]\n              [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--max-run N|off] [--max-cycles N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n\napps: {}\nmodels: {}",
         AppKind::ALL.map(|a| a.name()).join(", "),
         SwitchModel::ALL.map(|m| m.name()).join(", ") + " (smt takes smt:<width>)"
     );
@@ -161,10 +162,7 @@ fn bad_usage(msg: &str) -> ! {
 }
 
 fn parse_app(s: &str) -> AppKind {
-    AppKind::ALL
-        .into_iter()
-        .find(|a| a.name() == s)
-        .unwrap_or_else(|| bad_usage(&format!("unknown app '{s}'")))
+    AppKind::from_name(s).unwrap_or_else(|| bad_usage(&format!("unknown app '{s}'")))
 }
 
 /// Parses `--model`, returning the model plus the pinned SMT issue width
@@ -177,12 +175,8 @@ fn model_from_args(args: &Args) -> (SwitchModel, Option<usize>) {
 }
 
 fn parse_scale(s: &str) -> Scale {
-    match s {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "full" => Scale::Full,
-        _ => bad_usage(&format!("unknown scale '{s}' (want tiny, small, or full)")),
-    }
+    Scale::from_name(s)
+        .unwrap_or_else(|| bad_usage(&format!("unknown scale '{s}' (want tiny, small, or full)")))
 }
 
 /// Parses a flag value, rejecting garbage with a clear message instead of
@@ -197,11 +191,11 @@ fn flag_or_die<T>(r: Result<T, FlagError>) -> T {
     r.unwrap_or_else(|e| bad_usage(&e.to_string()))
 }
 
-/// Value-taking fault flags shared by `run` and `run-file`.
+/// Value-taking fault flags shared by `run`, `profile` and `run-file`.
 const FAULT_FLAGS: [&str; 6] =
     ["seed", "fault-drop", "fault-delay", "fault-dup", "latency-dist", "max-retries"];
 
-/// Value-taking network flags shared by `run` and `run-file`
+/// Value-taking network flags shared by the single-point commands
 /// (`--combining` is boolean and listed separately).
 const NET_FLAGS: [&str; 2] = ["net", "link-bw"];
 
@@ -732,12 +726,46 @@ fn cmd_compile(args: &Args) {
     }
 }
 
-/// Validates a finished config, mapping config errors to exit code 2.
-fn validate_or_die(cfg: &MachineConfig) {
+/// Builds the machine of a single-point command (`run`, `profile`,
+/// `run-file`, `replay`) from its resolved model and geometry plus
+/// whichever machine flags are present — each command's flag whitelist
+/// decides which can be. An invalid configuration exits with code 2.
+fn machine_config(
+    args: &Args,
+    (model, width): (SwitchModel, Option<usize>),
+    procs: usize,
+    threads: usize,
+) -> MachineConfig {
+    let mut cfg = MachineConfig::new(model, procs, threads);
+    if let Some(w) = width {
+        cfg = cfg.with_issue_width(w);
+    }
+    if let Some(l) = args.get("latency") {
+        cfg.latency = parse_num("latency", l);
+    }
+    if let Some(mr) = args.get("max-run") {
+        cfg.max_run = if mr == "off" { None } else { Some(parse_num("max-run", mr)) };
+    }
+    cfg.priority_scheduling = args.has("priority");
+    cfg.interblock_estimate = args.has("estimate") && model == SwitchModel::ExplicitSwitch;
+    cfg.max_cycles =
+        args.get("max-cycles").map(|v| parse_num("max-cycles", v)).unwrap_or(5_000_000_000);
+    cfg.fault = fault_config(args);
+    cfg.net = net_from_args(args);
     if let Err(e) = cfg.try_validate() {
         eprintln!("error: invalid configuration: {e}");
         std::process::exit(EXIT_USAGE);
     }
+    cfg
+}
+
+/// Unwraps a simulation outcome, reporting a failed run (typed
+/// `SimError` or wrong results) on stderr with exit code 1.
+fn run_or_die<T>(run: Result<T, impl std::fmt::Display>) -> T {
+    run.unwrap_or_else(|e| {
+        eprintln!("run failed: {e}");
+        std::process::exit(EXIT_RUN_FAILED);
+    })
 }
 
 /// Prints the modeled-network summary line when a network was simulated.
@@ -796,38 +824,20 @@ fn cmd_run_file(args: &Args) {
     let (model, width) = model_from_args(args);
     let procs: usize = args.get("p").map(|v| parse_num("p", v)).unwrap_or(2);
     let threads: usize = args.get("t").map(|v| parse_num("t", v)).unwrap_or(4);
-    let mut cfg = MachineConfig::new(model, procs, threads);
-    if let Some(w) = width {
-        cfg = cfg.with_issue_width(w);
-    }
-    cfg.max_cycles =
-        args.get("max-cycles").map(|v| parse_num("max-cycles", v)).unwrap_or(5_000_000_000);
-    cfg.fault = fault_config(args);
-    cfg.net = net_from_args(args);
-    validate_or_die(&cfg);
+    let cfg = machine_config(args, (model, width), procs, threads);
 
+    // A kernel has no host verifier and its result is the final shared
+    // regions, so it runs on the engine directly rather than as an app.
     let unit = read_and_compile(args, procs * threads);
-    let program = if model.uses_explicit_switch() {
-        mtsim_opt::group_shared_loads(&unit.program).program
-    } else {
-        unit.program.clone()
-    };
+    let program = program_for(&unit.program, model);
     let mem = mtsim_mem::SharedMemory::new(unit.shared_words());
-    let mut rec = args
-        .has("stats")
-        .then(|| mtsim_core::ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), 1));
-    let machine = mtsim_core::Machine::try_new(cfg.clone(), &program, mem);
-    let fin = match rec.as_mut() {
+    let mut rec =
+        args.has("stats").then(|| ObsRecorder::with_capacity(procs, cfg.total_threads(), 1));
+    let machine = Machine::try_new(cfg.clone(), &program, mem);
+    let fin = run_or_die(match rec.as_mut() {
         Some(r) => machine.and_then(|m| m.run_with(r)),
-        None => machine.and_then(mtsim_core::Machine::run),
-    };
-    let fin = match fin {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(EXIT_RUN_FAILED);
-        }
-    };
+        None => machine.and_then(Machine::run),
+    });
     println!(
         "{model}: {} cycles, utilization {:.1}%, {} switches",
         fin.result.cycles,
@@ -923,43 +933,16 @@ fn cmd_replay(args: &Args) {
         ));
     }
 
-    let mut cfg = MachineConfig::new(model, procs, threads);
-    if let Some(w) = width {
-        cfg = cfg.with_issue_width(w);
-    }
-    if let Some(l) = args.get("latency") {
-        cfg.latency = parse_num("latency", l);
-    }
-    cfg.max_cycles =
-        args.get("max-cycles").map(|v| parse_num("max-cycles", v)).unwrap_or(5_000_000_000);
-    cfg.net = net_from_args(args);
-    validate_or_die(&cfg);
+    let cfg = machine_config(args, (model, width), procs, threads);
 
+    let (events, trace_threads) = (tp.events, tp.nthreads);
+    let app = replay_app(tp, procs * threads);
     // The explicit-switch models run the grouped program, as `run_app`
     // does: the compiled trace itself carries no `Switch`.
-    let program = if model.uses_explicit_switch() {
-        mtsim_opt::group_shared_loads(&tp.program).program
-    } else {
-        tp.program.clone()
-    };
-    let fin = mtsim_core::Machine::try_new(cfg.clone(), &program, tp.shared())
-        .and_then(mtsim_core::Machine::run);
-    let fin = match fin {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(EXIT_RUN_FAILED);
-        }
-    };
-    if let Err(e) = tp.verify(&fin.shared) {
-        eprintln!("replay verification failed: {e}");
-        std::process::exit(EXIT_RUN_FAILED);
-    }
-
-    let r = &fin.result;
+    let program = program_for(&app.program, model);
+    let r = run_or_die(run_program(&app, &program, cfg.clone(), &mut NoopRecorder));
     println!(
-        "replay on {model}: {} events, {} trace threads on {procs} procs x {threads} contexts",
-        tp.events, tp.nthreads
+        "replay on {model}: {events} events, {trace_threads} trace threads on {procs} procs x {threads} contexts"
     );
     println!("  cycles        {}", r.cycles);
     println!("  instructions  {}", r.instructions);
@@ -972,7 +955,7 @@ fn cmd_replay(args: &Args) {
         );
         println!("  run-length    mean {:.1}", r.run_lengths.mean());
         println!("  bandwidth     {:.2} bits/cycle/proc (spin excluded)", r.bits_per_cycle());
-        print_net_stats(&cfg, r, None);
+        print_net_stats(&cfg, &r, None);
     }
 }
 
@@ -984,23 +967,7 @@ fn cmd_run(args: &Args) {
     let threads: usize = args.get("t").map(|v| parse_num("t", v)).unwrap_or(4);
     let scale = args.get("scale").map(parse_scale).unwrap_or(Scale::Small);
 
-    let mut cfg = MachineConfig::new(model, procs, threads);
-    if let Some(w) = width {
-        cfg = cfg.with_issue_width(w);
-    }
-    if let Some(l) = args.get("latency") {
-        cfg.latency = parse_num("latency", l);
-    }
-    if let Some(mr) = args.get("max-run") {
-        cfg.max_run = if mr == "off" { None } else { Some(parse_num("max-run", mr)) };
-    }
-    cfg.priority_scheduling = args.has("priority");
-    cfg.interblock_estimate = args.has("estimate") && model == SwitchModel::ExplicitSwitch;
-    cfg.max_cycles =
-        args.get("max-cycles").map(|v| parse_num("max-cycles", v)).unwrap_or(5_000_000_000);
-    cfg.fault = fault_config(args);
-    cfg.net = net_from_args(args);
-    validate_or_die(&cfg);
+    let cfg = machine_config(args, (model, width), procs, threads);
 
     let opt = args
         .get("opt-level")
@@ -1011,38 +978,19 @@ fn cmd_run(args: &Args) {
     // A pinned --opt-level overrides the model-aware auto selection;
     // `Switch` costs one cycle under the non-explicit models, so the
     // grouped image is legal (and verified) everywhere.
-    let pinned = match opt {
-        OptChoice::Auto => None,
-        OptChoice::Level(OptLevel::None) => Some(app.program.clone()),
-        OptChoice::Level(OptLevel::Intra) => Some(app.grouped().0),
+    let program = match opt {
+        OptChoice::Auto => program_for(&app.program, model),
+        OptChoice::Level(OptLevel::None) => Cow::Borrowed(&app.program),
+        OptChoice::Level(OptLevel::Intra) => Cow::Owned(app.grouped().0),
     };
     // `--stats` attaches a recorder (tiny ring: only the histograms are
     // read) so the latency percentiles come from real per-load samples;
     // the simulation itself is bit-identical either way.
     let (r, rec) = if args.has("stats") {
-        let run = match &pinned {
-            Some(p) => profile_app_with_program(&app, p, cfg.clone(), 1),
-            None => profile_app(&app, cfg.clone(), 1),
-        };
-        match run {
-            Ok((r, rec)) => (r, Some(rec)),
-            Err(e) => {
-                eprintln!("run failed: {e}");
-                std::process::exit(EXIT_RUN_FAILED);
-            }
-        }
+        let mut rec = ObsRecorder::with_capacity(procs, cfg.total_threads(), 1);
+        (run_or_die(run_program(&app, &program, cfg.clone(), &mut rec)), Some(rec))
     } else {
-        let run = match &pinned {
-            Some(p) => run_app_with_program(&app, p, cfg.clone()),
-            None => run_app(&app, cfg.clone()),
-        };
-        match run {
-            Ok(r) => (r, None),
-            Err(e) => {
-                eprintln!("run failed: {e}");
-                std::process::exit(EXIT_RUN_FAILED);
-            }
-        }
+        (run_or_die(run_program(&app, &program, cfg.clone(), &mut NoopRecorder)), None)
     };
 
     println!("{app_name} on {model}: {procs} procs x {threads} threads (scale {scale:?})");
@@ -1096,21 +1044,7 @@ fn cmd_profile(args: &Args) {
     let threads: usize = args.get("t").map(|v| parse_num("t", v)).unwrap_or(4);
     let scale = args.get("scale").map(parse_scale).unwrap_or(Scale::Small);
 
-    let mut cfg = MachineConfig::new(model, procs, threads);
-    if let Some(w) = width {
-        cfg = cfg.with_issue_width(w);
-    }
-    if let Some(l) = args.get("latency") {
-        cfg.latency = parse_num("latency", l);
-    }
-    if let Some(mr) = args.get("max-run") {
-        cfg.max_run = if mr == "off" { None } else { Some(parse_num("max-run", mr)) };
-    }
-    cfg.max_cycles =
-        args.get("max-cycles").map(|v| parse_num("max-cycles", v)).unwrap_or(5_000_000_000);
-    cfg.fault = fault_config(args);
-    cfg.net = net_from_args(args);
-    validate_or_die(&cfg);
+    let cfg = machine_config(args, (model, width), procs, threads);
 
     let ring: usize =
         args.get("ring").map(|v| parse_num("ring", v)).unwrap_or(mtsim_core::DEFAULT_RING_CAPACITY);
@@ -1119,13 +1053,9 @@ fn cmd_profile(args: &Args) {
     }
 
     let app = build_app(kind, scale, procs * threads);
-    let (r, rec) = match profile_app(&app, cfg.clone(), ring) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(EXIT_RUN_FAILED);
-        }
-    };
+    let mut rec = ObsRecorder::with_capacity(procs, cfg.total_threads(), ring);
+    let program = program_for(&app.program, model);
+    let r = run_or_die(run_program(&app, &program, cfg.clone(), &mut rec));
 
     let out_path = args.get("out").unwrap_or("trace.json");
     std::fs::write(out_path, rec.chrome_trace()).unwrap_or_else(|e| {

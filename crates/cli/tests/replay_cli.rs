@@ -2,7 +2,7 @@
 //! compiled trace: the grouped one under the explicit-switch models, whose
 //! only context switches are the `Switch` instructions grouping inserts.
 
-use mtsim_apps::{run_app, BuiltApp};
+use mtsim_apps::{replay::replay_app, run_app};
 use mtsim_core::{MachineConfig, SwitchModel};
 use mtsim_replay::{compile, synthesize, SynthConfig};
 use std::process::Command;
@@ -26,8 +26,7 @@ fn replay_matches_run_app_under_the_explicit_switch_models() {
     let synth = SynthConfig { seed: 1, threads: 4, ..SynthConfig::default() };
     for model in [SwitchModel::ExplicitSwitch, SwitchModel::ConditionalSwitch] {
         let tp = compile(&synthesize(&synth)).expect("synthetic trace compiles");
-        let app =
-            BuiltApp::new("replay", tp.program.clone(), tp.shared(), 4, move |m| tp.verify(m));
+        let app = replay_app(tp, 4);
         let want = run_app(&app, MachineConfig::new(model, 2, 2)).expect("run_app verifies");
         assert_eq!(cli_cycles(model), want.cycles, "{model}");
     }

@@ -14,9 +14,9 @@
 //! or an intentional report change (re-bless and review the diff).
 
 use mtsim::sweep::{run_sweep, SweepOpts, SweepSpec};
-use mtsim_apps::{build_app, profile_app, AppKind, Scale};
+use mtsim_apps::{build_app, program_for, run_program, AppKind, Scale};
 use mtsim_bench::tables;
-use mtsim_core::{MachineConfig, SwitchModel};
+use mtsim_core::{MachineConfig, ObsRecorder, SwitchModel};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -147,7 +147,9 @@ fn flame_table_tiny_snapshot() {
     let app = build_app(kind, Scale::Tiny, 4);
     let table = |model| {
         let cfg = MachineConfig::new(model, 2, 2);
-        let (_, rec) = profile_app(&app, cfg, 64).expect("flame-table run");
+        let mut rec = ObsRecorder::with_capacity(2, 4, 64);
+        run_program(&app, &program_for(&app.program, model), cfg, &mut rec)
+            .expect("flame-table run");
         rec.flame_table()
     };
     let mut out = table(SwitchModel::SwitchOnLoad);

@@ -3,13 +3,26 @@
 //! attaching a recorder must not change the simulation, and fault-retry
 //! backoff must charge to memory-stall, never idle.
 
-use mtsim::apps::{build_app, profile_app, run_app, AppKind, Scale};
+use mtsim::apps::{
+    build_app, program_for, run_app, run_program, AppKind, BuiltApp, RunError, Scale,
+};
 use mtsim::core::{Machine, MachineConfig, NoopRecorder, ObsRecorder, RunResult, SwitchModel};
 use mtsim::mem::FaultConfig;
 
 fn cfg(model: SwitchModel, procs: usize, t: usize) -> MachineConfig {
     let latency = if model == SwitchModel::Ideal { 0 } else { 200 };
     MachineConfig::new(model, procs, t).with_latency(latency)
+}
+
+/// Runs `app` on its model's image with a full recorder attached.
+fn profile(
+    app: &BuiltApp,
+    cfg: MachineConfig,
+    ring: usize,
+) -> Result<(RunResult, ObsRecorder), RunError> {
+    let mut rec = ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), ring);
+    let r = run_program(app, &program_for(&app.program, cfg.model), cfg, &mut rec)?;
+    Ok((r, rec))
 }
 
 /// Every issue slot of every processor is charged to exactly one
@@ -22,7 +35,7 @@ fn attribution_conserves_cycles_on_every_app_and_model() {
     for kind in AppKind::ALL {
         let app = build_app(kind, Scale::Tiny, 4);
         for model in SwitchModel::ALL {
-            let (r, rec) = profile_app(&app, cfg(model, 2, 2), 64)
+            let (r, rec) = profile(&app, cfg(model, 2, 2), 64)
                 .unwrap_or_else(|e| panic!("{kind:?} on {model:?}: {e}"));
             assert_eq!(rec.attr.conservation_error(r.cycles), None, "{kind:?} on {model:?}");
             let s = rec.attr.summary();
@@ -50,7 +63,7 @@ fn attaching_a_recorder_does_not_change_the_simulation() {
     {
         let app = build_app(AppKind::Sor, Scale::Tiny, 4);
         let baseline = run_app(&app, cfg(model, 2, 2)).unwrap();
-        let (profiled, _) = profile_app(&app, cfg(model, 2, 2), 256).unwrap();
+        let (profiled, _) = profile(&app, cfg(model, 2, 2), 256).unwrap();
         assert_eq!(key(&baseline), key(&profiled), "{model:?}");
     }
 

@@ -4,8 +4,10 @@
 //! roughly what factor, where the plateaus are — not the absolute 1992
 //! numbers (see EXPERIMENTS.md for the quantitative comparison).
 
-use mtsim::apps::{app_builder, baseline_cycles, build_app, efficiency, run_app, AppKind, Scale};
-use mtsim::core::{MachineConfig, SwitchModel};
+use mtsim::apps::{
+    app_builder, baseline_cycles, build_app, efficiency, run_app, run_program, AppKind, Scale,
+};
+use mtsim::core::{MachineConfig, NoopRecorder, SwitchModel};
 
 fn cfgm(model: SwitchModel, p: usize, t: usize) -> MachineConfig {
     let mut c = MachineConfig::new(model, p, t);
@@ -151,9 +153,9 @@ fn reorganization_penalty_is_a_few_percent() {
         let app = build_app(kind, Scale::Tiny, 1);
         let mut c = MachineConfig::ideal(1);
         c.max_cycles = 500_000_000;
-        let orig = mtsim::apps::run_app_with_program(&app, &app.program, c.clone()).unwrap();
+        let orig = run_program(&app, &app.program, c.clone(), &mut NoopRecorder).unwrap();
         let (grouped, _) = app.grouped();
-        let re = mtsim::apps::run_app_with_program(&app, &grouped, c).unwrap();
+        let re = run_program(&app, &grouped, c, &mut NoopRecorder).unwrap();
         let penalty = re.cycles as f64 / orig.cycles as f64 - 1.0;
         assert!((-0.005..0.12).contains(&penalty), "{kind}: penalty {:.1}%", penalty * 100.0);
     }
