@@ -1,5 +1,5 @@
-//! Golden-file snapshot tests for the paper-table text reports and the
-//! `mtsim sweep` JSON/CSV result tables.
+//! Golden-file snapshot tests for the paper-table text reports, the
+//! `mtsim sweep` JSON/CSV result tables and the sweep checkpoint stream.
 //!
 //! Every report here is a pure function of the (deterministic)
 //! simulations, so the rendered bytes are stable across machines and
@@ -10,10 +10,14 @@
 //! BLESS=1 cargo test --test golden_reports
 //! ```
 //!
+//! `sweep_schema_cut.jsonl` is the one fixture a bless never rewrites: it
+//! is a checkpoint written by an earlier build, kept to prove old streams
+//! still resume.
+//!
 //! A failing diff means either an engine-semantics change (investigate!)
 //! or an intentional report change (re-bless and review the diff).
 
-use mtsim::sweep::{run_sweep, SweepOpts, SweepSpec};
+use mtsim::sweep::{resume_sweep, run_sweep, ChaosPlan, SweepOpts, SweepOutcome, SweepSpec};
 use mtsim_apps::{build_app, program_for, run_program, AppKind, Scale};
 use mtsim_bench::tables;
 use mtsim_core::{MachineConfig, ObsRecorder, SwitchModel};
@@ -133,6 +137,88 @@ fn sweep_json_and_csv_snapshots() {
 
     check_golden("sweep.json", &one.results_json());
     check_golden("sweep.csv", &one.results_csv());
+}
+
+/// The sweep-row schema grid: every kind of row the result table and the
+/// checkpoint can carry. Opt `none` under explicit-switch has no switch
+/// instructions and livelocks into the simulated-cycle watchdog (4 error
+/// rows); the `intra` rows run with attribution and opt statistics, and
+/// the mesh and drop-rate points give non-zero network, retry and
+/// timeout counters. Job 6 panics once with no retry budget, so it is
+/// quarantined.
+fn schema_spec() -> SweepSpec {
+    let mut spec = SweepSpec::default();
+    for (key, value) in [
+        ("apps", "sieve"),
+        ("models", "explicit-switch"),
+        ("p", "2"),
+        ("t", "2"),
+        ("opts", "none,intra"),
+        ("nets", "constant,mesh"),
+        ("drop_rates", "0,0.05"),
+        ("seeds", "1"),
+        ("attr", "true"),
+        ("scale", "tiny"),
+        ("max_cycles", "200000"),
+    ] {
+        spec.set(key, value).unwrap_or_else(|e| panic!("spec {key}: {e}"));
+    }
+    spec
+}
+
+/// Runs (or, with `resume`, resumes) the schema grid on one worker,
+/// streaming its checkpoint to `stream`.
+fn schema_sweep(stream: &std::path::Path, resume: bool) -> SweepOutcome {
+    let opts = SweepOpts {
+        workers: Some(1),
+        stream: Some(stream.to_string_lossy().into_owned()),
+        retries: 0,
+        chaos: Some(ChaosPlan { panic_once: vec![6], kill_after: None }),
+        ..SweepOpts::default()
+    };
+    let path = stream.to_string_lossy();
+    if resume {
+        resume_sweep(&schema_spec(), &opts, &path).expect("resume schema sweep")
+    } else {
+        run_sweep(&schema_spec(), &opts).expect("schema sweep")
+    }
+}
+
+fn scratch_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("mtsim-golden-{}-{name}", std::process::id()))
+}
+
+/// Pins the sweep-row schema byte for byte: the result JSON and CSV and
+/// the streamed checkpoint of a grid with ok, watchdog-error and
+/// quarantined rows, attribution and opt columns.
+#[test]
+fn sweep_schema_json_csv_and_checkpoint() {
+    let stream = scratch_path("schema.jsonl");
+    let out = schema_sweep(&stream, false);
+    assert_eq!((out.ok_count(), out.failed_count(), out.quarantined_count()), (4, 4, 1));
+    let ckpt = std::fs::read_to_string(&stream).unwrap();
+    std::fs::remove_file(&stream).ok();
+    check_golden("sweep_schema.json", &out.results_json());
+    check_golden("sweep_schema.csv", &out.results_csv());
+    check_golden("sweep_schema.jsonl", &ckpt);
+}
+
+/// Checkpoints written by earlier builds must keep resuming to the same
+/// bytes. `sweep_schema_cut.jsonl` is a committed stream cut after its
+/// header and first record (a watchdog error); the full
+/// `sweep_schema.jsonl` golden carries every other record kind, so
+/// resuming it re-reads ok, attributed, opt and quarantined records and
+/// runs nothing.
+#[test]
+fn sweep_schema_resumes_committed_checkpoints() {
+    for fixture in ["sweep_schema_cut.jsonl", "sweep_schema.jsonl"] {
+        let stream = scratch_path(fixture);
+        std::fs::copy(golden_path(fixture), &stream).unwrap();
+        let out = schema_sweep(&stream, true);
+        std::fs::remove_file(&stream).ok();
+        let expected = std::fs::read_to_string(golden_path("sweep_schema.json")).unwrap();
+        assert!(out.results_json() == expected, "resuming {fixture} changed the result JSON");
+    }
 }
 
 /// The text flame table (DESIGN.md §17) on Table 2's smallest
