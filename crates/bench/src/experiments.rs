@@ -10,8 +10,7 @@ use mtsim_apps::{
     app_builder, baseline_cycles, build_app, efficiency, run_app, run_program, AppKind, Scale,
 };
 use mtsim_core::{
-    MachineConfig, NetworkConfig, NoopRecorder, RunLengthHist, RunResult, RunStats, SwitchModel,
-    Topology,
+    MachineConfig, NetworkConfig, NoopRecorder, RunLengthHist, RunStats, SwitchModel, Topology,
 };
 use mtsim_sweep::{run_job_specs, JobOutcome, JobSpec, OptChoice, SweepOpts};
 
@@ -638,28 +637,6 @@ pub fn max_run_ablation(scale: Scale, settings: &[Option<u64>]) -> Vec<AblationR
             let outcome =
                 run_app(&app, c).ok().map(|r| (r.cycles, r.forced_switches, r.run_lengths.mean()));
             AblationRow { max_run: mr, outcome }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Model comparison (Figure 1 tour, used by the models example and bench)
-// ---------------------------------------------------------------------
-
-/// Runs one app under every model at fixed `P × T`, returning
-/// `(model, result)` pairs.
-pub fn model_tour(
-    kind: AppKind,
-    scale: Scale,
-    procs: usize,
-    t: usize,
-) -> Vec<(SwitchModel, RunResult)> {
-    SwitchModel::ALL
-        .iter()
-        .map(|&m| {
-            let app = build_app(kind, scale, procs * t);
-            let r = run_app(&app, cfg(m, procs, t)).expect("tour run");
-            (m, r)
         })
         .collect()
 }

@@ -2,8 +2,8 @@
 //!
 //! The evaluation harness: one function per table/figure of Boothe &
 //! Ranade (ISCA 1992), each with a `--bin` that prints the paper-style
-//! rows (see `src/bin/`) and a Criterion bench that exercises the same
-//! code path at reduced scale.
+//! rows (see `src/bin/`) and a plain `std::time` bench (`benches/`) that
+//! exercises the same code path at reduced scale.
 //!
 //! | paper artifact | function | binary |
 //! |---|---|---|

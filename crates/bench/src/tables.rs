@@ -164,13 +164,9 @@ why the passes that chased it were deleted)",
     )
 }
 
-/// Model frontier: every switch model on the trace-replay workload.
-pub fn model_frontier_text(scale: Scale, jobs: Option<usize>) -> String {
-    model_frontier_render(&experiments::model_frontier(scale, jobs), scale)
-}
-
-/// Renders pre-computed [`experiments::ModelFrontierRow`]s (the
-/// `model_frontier` binary reuses the rows for `BENCH_models.json`).
+/// Model frontier: renders [`experiments::model_frontier`]'s rows for
+/// every switch model on the trace-replay workload (the `model_frontier`
+/// binary reuses the rows for `BENCH_models.json`).
 pub fn model_frontier_render(rows: &[experiments::ModelFrontierRow], scale: Scale) -> String {
     let levels = experiments::frontier_levels(scale);
     let mut t = TextTable::new(

@@ -30,7 +30,7 @@
 //! runs the unblessed form, so any accidental re-bless that changes a
 //! byte fails the build.
 
-use crate::diff::{fault_profile, progress_guaranteed, LATENCIES};
+use crate::diff::{fault_profile, progress_guaranteed, splits, LATENCIES, MAX_CYCLES};
 use crate::generate::generate;
 use mtsim_asm::{Program, ProgramBuilder};
 use mtsim_core::{Machine, MachineConfig, NetworkConfig, SwitchModel, Topology};
@@ -38,9 +38,6 @@ use mtsim_mem::SharedMemory;
 use mtsim_opt::group_shared_loads;
 use mtsim_rng::Rng;
 use mtsim_sweep::run_jobs;
-
-/// Cycle budget per engine run (matches the fuzz harness).
-const MAX_CYCLES: u64 = 20_000_000;
 
 /// Fuzzer seeds contributing generated cases (fixed forever: changing
 /// them invalidates the golden table).
@@ -200,18 +197,6 @@ fn run_digest(cfg: MachineConfig, prog: &Program, shared: &SharedMemory) -> Resu
     cfg.try_validate()?;
     let run = Machine::new(cfg, prog, shared.clone()).run().map_err(|e| format!("{e}"))?;
     Ok(digest(&format!("{:?}|{:?}|{:?}", run.result, run.shared, run.threads)))
-}
-
-/// Processor/thread splits exercised (mirrors the fuzz harness).
-fn splits(n: usize) -> Vec<(usize, usize)> {
-    let mut out = vec![(1, n)];
-    if n > 1 {
-        out.push((n, 1));
-    }
-    if n >= 4 && n.is_multiple_of(2) {
-        out.push((2, n / 2));
-    }
-    out
 }
 
 /// Digests every grid entry of one case, in deterministic order.

@@ -32,7 +32,7 @@ pub const LATENCIES: [u64; 3] = [0, 200, 1000];
 
 /// Cycle budget per engine run. Generated programs are tiny; hitting this
 /// means the engine hung (reported as a mismatch, not a panic).
-const MAX_CYCLES: u64 = 20_000_000;
+pub(crate) const MAX_CYCLES: u64 = 20_000_000;
 
 /// Instruction budget for the oracle (its deadlock stand-in).
 const ORACLE_FUEL: u64 = 5_000_000;

@@ -252,6 +252,22 @@ impl AttrSummary {
         ]
     }
 
+    /// The inverse of [`AttrSummary::by_cat`]: totals in [`Cat::ALL`]
+    /// order.
+    pub fn from_totals(
+        [busy, switch_overhead, memory_stall, lock_spin, barrier_wait, idle, issue_idle]: [u64; 7],
+    ) -> AttrSummary {
+        AttrSummary {
+            busy,
+            switch_overhead,
+            memory_stall,
+            lock_spin,
+            barrier_wait,
+            idle,
+            issue_idle,
+        }
+    }
+
     /// Sum over every category.
     pub fn total(&self) -> u64 {
         self.by_cat().iter().map(|&(_, v)| v).sum()

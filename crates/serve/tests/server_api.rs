@@ -167,6 +167,20 @@ fn healthz_and_error_paths_speak_parseable_json() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 44-byte spec whose range would expand to ~10^11 values: the server
+/// must refuse it with a 400 instead of trying to allocate the range,
+/// and keep serving.
+#[test]
+fn over_wide_range_spec_is_refused_and_the_server_stays_up() {
+    let dir = tmp_dir("wide");
+    let addr = start(&dir, 4);
+    let reply = post(addr, "/v1/sweeps", "apps=sieve\nthreads=1-99999999999\nscale=tiny\n");
+    assert_eq!(reply.status, 400);
+    assert!(reply.text().contains("4096 values"), "{}", reply.text());
+    assert_eq!(get(addr, "/v1/healthz").status, 200);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn submitted_sweep_results_are_byte_identical_to_the_library() {
     let dir = tmp_dir("identity");

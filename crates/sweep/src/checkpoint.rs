@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use mtsim_core::{AttrSummary, RunStats};
 
 use crate::json::JsonBuilder;
-use crate::results::{JobError, JobOutcome, OptCols};
+use crate::results::{JobError, JobOutcome, OptCols, Stat, SIM_KINDS, STATS};
 use crate::spec::SweepSpec;
 
 /// Schema tag written into every checkpoint header.
@@ -383,88 +383,38 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 // Record serialization
 // ---------------------------------------------------------------------------
 
-/// Field order for [`RunStats`] in checkpoint records — every field, so
-/// resumed jobs reproduce the result table byte for byte.
-const STAT_FIELDS: [&str; 18] = [
-    "processors",
-    "cycles",
-    "instructions",
-    "busy",
-    "idle",
-    "overhead",
-    "stalls",
-    "switches_taken",
-    "switches_skipped",
-    "forced_switches",
-    "reads_issued",
-    "retries",
-    "timeouts",
-    "net_requests",
-    "net_latency_sum",
-    "net_latency_max",
-    "net_queue_cycles",
-    "net_fa_combined",
-];
+/// On-disk attribution keys, in [`Cat::ALL`](mtsim_core::Cat::ALL)
+/// order. Persisted, so they keep the field names they were first
+/// written with rather than the result table's category names.
+const ATTR_KEYS: [&str; 7] =
+    ["busy", "switch_overhead", "memory_stall", "lock_spin", "barrier_wait", "idle", "issue_idle"];
 
-fn stat_values(s: &RunStats) -> [u64; 18] {
-    [
-        s.processors,
-        s.cycles,
-        s.instructions,
-        s.busy,
-        s.idle,
-        s.overhead,
-        s.stalls,
-        s.switches_taken,
-        s.switches_skipped,
-        s.forced_switches,
-        s.reads_issued,
-        s.retries,
-        s.timeouts,
-        s.net_requests,
-        s.net_latency_sum,
-        s.net_latency_max,
-        s.net_queue_cycles,
-        s.net_fa_combined,
-    ]
-}
-
-fn stats_from(jv: &Jv, ctx: &str) -> Result<RunStats, String> {
-    let mut v = [0u64; 18];
-    for (slot, name) in v.iter_mut().zip(STAT_FIELDS) {
-        *slot = jv
-            .get(name)
-            .and_then(Jv::as_u64)
-            .ok_or_else(|| format!("{ctx}: missing or non-integer stat {name:?}"))?;
+fn stats_from(jv: &Jv) -> Result<RunStats, String> {
+    let mut stats = RunStats::default();
+    for (name, stat) in STATS {
+        if let Stat::Field { set, .. } = stat {
+            let value = jv
+                .get(name)
+                .and_then(Jv::as_u64)
+                .ok_or_else(|| format!("stats: missing or non-integer stat {name:?}"))?;
+            set(&mut stats, value);
+        }
     }
-    Ok(RunStats {
-        processors: v[0],
-        cycles: v[1],
-        instructions: v[2],
-        busy: v[3],
-        idle: v[4],
-        overhead: v[5],
-        stalls: v[6],
-        switches_taken: v[7],
-        switches_skipped: v[8],
-        forced_switches: v[9],
-        reads_issued: v[10],
-        retries: v[11],
-        timeouts: v[12],
-        net_requests: v[13],
-        net_latency_sum: v[14],
-        net_latency_max: v[15],
-        net_queue_cycles: v[16],
-        net_fa_combined: v[17],
-    })
+    Ok(stats)
 }
 
-/// Maps a persisted error kind back to the `'static` kind strings
-/// [`JobError`] uses in-process.
-fn sim_kind_static(kind: &str) -> Option<&'static str> {
-    ["watchdog", "fault", "deadlock", "bad-program", "config", "timeout"]
-        .into_iter()
-        .find(|k| *k == kind)
+fn attr_from(jv: &Jv) -> Result<AttrSummary, String> {
+    let mut totals = [0; 7];
+    for (slot, key) in totals.iter_mut().zip(ATTR_KEYS) {
+        *slot = match jv.get(key).and_then(Jv::as_u64) {
+            Some(v) => v,
+            // Absent in pre-SMT checkpoints: those runs were
+            // single-issue, so no slots went unfilled.
+            None if key == "issue_idle" => 0,
+            None => return Err(format!("missing attr {key:?}")),
+        };
+    }
+    Ok(AttrSummary::from_totals(totals))
 }
 
 /// The checkpoint header line (line 1 of the stream).
@@ -489,19 +439,17 @@ pub(crate) fn record_line(seq: u64, o: &JobOutcome) -> String {
         Ok(stats) => {
             j.key("status").string("ok");
             j.key("stats").begin_object();
-            for (name, value) in STAT_FIELDS.iter().zip(stat_values(stats)) {
-                j.key(name).u64(value);
+            for (name, stat) in STATS {
+                if let Stat::Field { get, .. } = stat {
+                    j.key(name).u64(get(stats));
+                }
             }
             j.end();
             if let Some(a) = &o.attr {
                 j.key("attr").begin_object();
-                j.key("busy").u64(a.busy);
-                j.key("switch_overhead").u64(a.switch_overhead);
-                j.key("memory_stall").u64(a.memory_stall);
-                j.key("lock_spin").u64(a.lock_spin);
-                j.key("barrier_wait").u64(a.barrier_wait);
-                j.key("idle").u64(a.idle);
-                j.key("issue_idle").u64(a.issue_idle);
+                for (key, (_, cycles)) in ATTR_KEYS.iter().zip(a.by_cat()) {
+                    j.key(key).u64(cycles);
+                }
                 j.end();
             }
             if let Some(op) = &o.opt {
@@ -547,10 +495,7 @@ fn record_from(jv: &Jv) -> Result<CkptRecord, String> {
     let attempts = jv.get("attempts").and_then(Jv::as_u64).unwrap_or(1) as u32;
     let status = jv.get("status").and_then(Jv::as_str).ok_or("missing status")?;
     let (result, quarantined) = match status {
-        "ok" => {
-            let stats = stats_from(jv.get("stats").ok_or("missing stats")?, "stats")?;
-            (Ok(stats), false)
-        }
+        "ok" => (Ok(stats_from(jv.get("stats").ok_or("missing stats")?)?), false),
         "error" | "quarantined" => {
             let kind = jv.get("error_kind").and_then(Jv::as_str).ok_or("missing error_kind")?;
             let message =
@@ -559,7 +504,9 @@ fn record_from(jv: &Jv) -> Result<CkptRecord, String> {
                 "verify" => JobError::Verify { message },
                 "panic" => JobError::Panic { message },
                 other => JobError::Sim {
-                    kind: sim_kind_static(other)
+                    kind: SIM_KINDS
+                        .into_iter()
+                        .find(|k| *k == other)
                         .ok_or_else(|| format!("unknown error kind {other:?}"))?,
                     message,
                 },
@@ -568,25 +515,7 @@ fn record_from(jv: &Jv) -> Result<CkptRecord, String> {
         }
         other => return Err(format!("unknown status {other:?}")),
     };
-    let attr = match jv.get("attr") {
-        None => None,
-        Some(a) => {
-            let f = |name: &str| {
-                a.get(name).and_then(Jv::as_u64).ok_or_else(|| format!("missing attr {name:?}"))
-            };
-            Some(AttrSummary {
-                busy: f("busy")?,
-                switch_overhead: f("switch_overhead")?,
-                memory_stall: f("memory_stall")?,
-                lock_spin: f("lock_spin")?,
-                barrier_wait: f("barrier_wait")?,
-                idle: f("idle")?,
-                // Absent in pre-SMT checkpoints: those runs were
-                // single-issue, so no slots went unfilled.
-                issue_idle: a.get("issue_idle").and_then(Jv::as_u64).unwrap_or(0),
-            })
-        }
-    };
+    let attr = jv.get("attr").map(attr_from).transpose()?;
     let opt = match jv.get("opt") {
         None => None,
         Some(o) => {

@@ -53,7 +53,9 @@ pub use cache::ArtifactCache;
 pub use checkpoint::{load_checkpoint, spec_hash, Checkpoint, SweepError};
 pub use pool::{default_workers, run_jobs, run_jobs_partial, Watchdog};
 pub use results::{JobError, JobOutcome, OptCols, SweepOutcome};
-pub use spec::{JobSpec, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES};
+pub use spec::{
+    JobSpec, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES, MAX_AXIS_VALUES, MAX_GRID_POINTS,
+};
 pub use stream::StreamWriter;
 
 /// Execution options for a sweep.
@@ -457,15 +459,8 @@ fn run_one(
             app.nthreads,
             cfg.total_threads()
         );
-        return JobOutcome {
-            spec: *spec,
-            result: Err(JobError::Sim { kind: "config", message }),
-            attr: None,
-            opt: None,
-            cache_hit,
-            attempts: 1,
-            quarantined: false,
-        };
+        let result = Err(JobError::Sim { kind: "config", message });
+        return JobOutcome { cache_hit, ..JobOutcome::once(*spec, result) };
     }
 
     // Attribution runs attach a real recorder; a tiny ring suffices since
@@ -535,15 +530,12 @@ fn run_one(
             Ok(()) => Ok(lean.result.stats()),
         },
     };
-    let attr = match &result {
-        Ok(_) => rec.map(|r| r.attr.summary()),
-        Err(_) => None,
+    // Attribution and opt statistics describe a finished run only.
+    let (attr, opt) = match &result {
+        Ok(_) => (rec.map(|r| r.attr.summary()), opt_cols),
+        Err(_) => (None, None),
     };
-    let opt = match &result {
-        Ok(_) => opt_cols,
-        Err(_) => None,
-    };
-    JobOutcome { spec: *spec, result, attr, opt, cache_hit, attempts: 1, quarantined: false }
+    JobOutcome { attr, opt, cache_hit, ..JobOutcome::once(*spec, result) }
 }
 
 #[cfg(test)]

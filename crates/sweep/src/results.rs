@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use mtsim_core::{AttrSummary, RunStats, SimError};
+use mtsim_core::{AttrSummary, Cat, RunStats, SimError};
 
 use crate::json::JsonBuilder;
 use crate::spec::JobSpec;
@@ -52,26 +52,136 @@ impl JobError {
 
     /// Maps a simulator error to its stable kind string.
     pub fn from_sim(err: &SimError) -> JobError {
+        let [watchdog, fault, deadlock, bad_program, config, timeout] = SIM_KINDS;
         let kind = match err {
-            SimError::Watchdog { .. } => "watchdog",
-            SimError::Fault { .. } => "fault",
-            SimError::Deadlock { .. } => "deadlock",
-            SimError::BadProgram { .. } => "bad-program",
-            SimError::Config { .. } => "config",
+            SimError::Watchdog { .. } => watchdog,
+            SimError::Fault { .. } => fault,
+            SimError::Deadlock { .. } => deadlock,
+            SimError::BadProgram { .. } => bad_program,
+            SimError::Config { .. } => config,
             // Wall-clock cancellation by the pool's per-job watchdog: the
             // only nondeterministic simulator error, and the one the retry
             // layer treats as transient.
-            SimError::Cancelled { .. } => "timeout",
+            SimError::Cancelled { .. } => timeout,
         };
         JobError::Sim { kind, message: err.to_string() }
     }
 }
+
+/// Every simulator error kind, one per [`SimError`] variant.
+pub(crate) const SIM_KINDS: [&str; 6] =
+    ["watchdog", "fault", "deadlock", "bad-program", "config", "timeout"];
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.kind(), self.message())
     }
 }
+
+/// One result-table value: JSON types it, CSV prints it bare.
+#[derive(Clone, Copy)]
+enum Cell {
+    Int(u64),
+    Float(f64),
+    Str(&'static str),
+}
+
+impl Cell {
+    fn json(self, j: &mut JsonBuilder) {
+        match self {
+            Cell::Int(v) => j.u64(v),
+            Cell::Float(v) => j.f64(v),
+            Cell::Str(v) => j.string(v),
+        };
+    }
+
+    fn csv(self) -> String {
+        match self {
+            Cell::Int(v) => v.to_string(),
+            Cell::Float(v) => v.to_string(),
+            Cell::Str(v) => v.to_string(),
+        }
+    }
+}
+
+/// A spec column: its name and how to read it off the job.
+type SpecCol = (&'static str, fn(&JobSpec) -> Cell);
+
+/// The spec columns that open every result row, in column order.
+const SPEC_COLS: [SpecCol; 11] = [
+    ("id", |s| Cell::Int(s.id as u64)),
+    ("app", |s| Cell::Str(s.app.name())),
+    ("model", |s| Cell::Str(s.model.name())),
+    ("scale", |s| Cell::Str(s.scale.name())),
+    ("procs", |s| Cell::Int(s.procs as u64)),
+    ("threads", |s| Cell::Int(s.threads_per_proc as u64)),
+    ("latency", |s| Cell::Int(s.latency)),
+    ("seed", |s| Cell::Int(s.seed)),
+    ("drop_rate", |s| Cell::Float(s.drop_rate)),
+    ("net", |s| Cell::Str(s.net.name())),
+    ("opt", |s| Cell::Str(s.opt.name())),
+];
+
+/// How one [`STATS`] column is stored.
+#[derive(Clone, Copy)]
+pub(crate) enum Stat {
+    /// A [`RunStats`] field: persisted in checkpoints, and shown in the
+    /// result table when `shown`.
+    Field { get: fn(&RunStats) -> u64, set: fn(&mut RunStats, u64), shown: bool },
+    /// Derived from the fields at render time: shown, never persisted.
+    Derived(fn(&RunStats) -> f64),
+}
+
+impl Stat {
+    fn shown(self) -> bool {
+        !matches!(self, Stat::Field { shown: false, .. })
+    }
+
+    fn cell(self, r: &RunStats) -> Cell {
+        match self {
+            Stat::Field { get, .. } => Cell::Int(get(r)),
+            Stat::Derived(f) => Cell::Float(f(r)),
+        }
+    }
+}
+
+/// `field!(name, shown)`: a [`STATS`] entry for the `RunStats` field
+/// `name`.
+macro_rules! field {
+    ($name:ident, $shown:expr) => {
+        (
+            stringify!($name),
+            Stat::Field { get: |s| s.$name, set: |s, v| s.$name = v, shown: $shown },
+        )
+    };
+}
+
+/// The sweep row's [`RunStats`] schema, in column order: every field
+/// once, plus the derived `utilization`. The result JSON and CSV show
+/// the `shown` columns; checkpoint records persist every field, so a
+/// resumed job reproduces the result table byte for byte. A new counter
+/// is one line here.
+pub(crate) const STATS: [(&str, Stat); 19] = [
+    field!(processors, false),
+    field!(cycles, true),
+    field!(instructions, true),
+    field!(busy, true),
+    field!(idle, true),
+    field!(overhead, true),
+    field!(stalls, true),
+    field!(switches_taken, true),
+    field!(switches_skipped, true),
+    field!(forced_switches, true),
+    field!(reads_issued, true),
+    field!(retries, true),
+    field!(timeouts, true),
+    ("utilization", Stat::Derived(RunStats::utilization)),
+    field!(net_requests, true),
+    field!(net_latency_sum, false),
+    field!(net_latency_max, false),
+    field!(net_queue_cycles, true),
+    field!(net_fa_combined, true),
+];
 
 /// Static grouping statistics for one grid point, recorded when the
 /// point ran with a pinned [`crate::OptChoice::Level`] (all zero for
@@ -226,38 +336,16 @@ impl SweepOutcome {
         j.key("schema").string("mtsim-sweep/v1");
         j.key("jobs").begin_array();
         for job in &self.jobs {
-            let s = &job.spec;
             j.begin_object();
-            j.key("id").u64(s.id as u64);
-            j.key("app").string(s.app.name());
-            j.key("model").string(s.model.name());
-            j.key("scale").string(s.scale.name());
-            j.key("procs").u64(s.procs as u64);
-            j.key("threads").u64(s.threads_per_proc as u64);
-            j.key("latency").u64(s.latency);
-            j.key("seed").u64(s.seed);
-            j.key("drop_rate").f64(s.drop_rate);
-            j.key("net").string(s.net.name());
-            j.key("opt").string(s.opt.name());
+            for (name, col) in SPEC_COLS {
+                col(&job.spec).json(j.key(name));
+            }
             match &job.result {
                 Ok(r) => {
                     j.key("status").string("ok");
-                    j.key("cycles").u64(r.cycles);
-                    j.key("instructions").u64(r.instructions);
-                    j.key("busy").u64(r.busy);
-                    j.key("idle").u64(r.idle);
-                    j.key("overhead").u64(r.overhead);
-                    j.key("stalls").u64(r.stalls);
-                    j.key("switches_taken").u64(r.switches_taken);
-                    j.key("switches_skipped").u64(r.switches_skipped);
-                    j.key("forced_switches").u64(r.forced_switches);
-                    j.key("reads_issued").u64(r.reads_issued);
-                    j.key("retries").u64(r.retries);
-                    j.key("timeouts").u64(r.timeouts);
-                    j.key("utilization").f64(r.utilization());
-                    j.key("net_requests").u64(r.net_requests);
-                    j.key("net_queue_cycles").u64(r.net_queue_cycles);
-                    j.key("net_fa_combined").u64(r.net_fa_combined);
+                    for (name, stat) in STATS.iter().filter(|(_, s)| s.shown()) {
+                        stat.cell(r).json(j.key(name));
+                    }
                     if let Some(a) = &job.attr {
                         j.key("attr").begin_object();
                         for (cat, cycles) in a.by_cat() {
@@ -312,91 +400,53 @@ impl SweepOutcome {
         j.finish()
     }
 
-    /// The deterministic result table as CSV (same fields and the same
-    /// determinism contract as [`SweepOutcome::results_json`]).
+    /// The deterministic result table as CSV, with the determinism
+    /// contract of [`SweepOutcome::results_json`]. The columns are the
+    /// JSON row's, flattened, except that of the `opt_stats` object only
+    /// `group_mean` is carried.
     pub fn results_csv(&self) -> String {
-        // Attribution columns appear only when at least one job carries
-        // them (i.e. the sweep ran with `attr = true`), so unattributed
-        // output stays byte-identical to the pre-observability format.
+        // Attribution and opt columns appear only when at least one job
+        // carries them (the sweep ran with `attr = true` or pinned an opt
+        // level), so other sweeps keep the historical columns.
         let with_attr = self.jobs.iter().any(|j| j.attr.is_some());
         let with_opt = self.jobs.iter().any(|j| j.opt.is_some());
-        let mut out = String::from(
-            "id,app,model,scale,procs,threads,latency,seed,drop_rate,net,opt,status,cycles,\
-             instructions,busy,idle,overhead,stalls,switches_taken,switches_skipped,\
-             forced_switches,reads_issued,retries,timeouts,utilization,net_requests,\
-             net_queue_cycles,net_fa_combined,error_kind\n",
-        );
+        let shown = || STATS.iter().filter(|(_, s)| s.shown());
+        let mut header: Vec<String> = SPEC_COLS.iter().map(|(name, _)| name.to_string()).collect();
+        header.push("status".into());
+        header.extend(shown().map(|(name, _)| name.to_string()));
+        header.push("error_kind".into());
         if with_attr {
-            let trimmed = out.trim_end().to_string();
-            out = trimmed
-                + ",attr_busy,attr_switch_ovh,attr_mem_stall,attr_lock_spin,\
-                   attr_barrier_wait,attr_idle,attr_issue_idle\n";
+            header.extend(Cat::ALL.iter().map(|c| format!("attr_{}", c.name().replace('-', "_"))));
         }
         if with_opt {
-            let trimmed = out.trim_end().to_string();
-            out = trimmed + ",group_mean\n";
+            header.push("group_mean".into());
         }
+        let mut out = header.join(",") + "\n";
         for job in &self.jobs {
-            let s = &job.spec;
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},",
-                s.id,
-                s.app.name(),
-                s.model.name(),
-                s.scale.name(),
-                s.procs,
-                s.threads_per_proc,
-                s.latency,
-                s.seed,
-                s.drop_rate,
-                s.net.name(),
-                s.opt.name()
-            ));
+            let mut row: Vec<String> =
+                SPEC_COLS.iter().map(|(_, col)| col(&job.spec).csv()).collect();
             match &job.result {
-                Ok(r) => out.push_str(&format!(
-                    "ok,{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},",
-                    r.cycles,
-                    r.instructions,
-                    r.busy,
-                    r.idle,
-                    r.overhead,
-                    r.stalls,
-                    r.switches_taken,
-                    r.switches_skipped,
-                    r.forced_switches,
-                    r.reads_issued,
-                    r.retries,
-                    r.timeouts,
-                    r.utilization(),
-                    r.net_requests,
-                    r.net_queue_cycles,
-                    r.net_fa_combined
-                )),
+                Ok(r) => {
+                    row.push("ok".into());
+                    row.extend(shown().map(|(_, stat)| stat.cell(r).csv()));
+                    row.push(String::new());
+                }
                 Err(e) => {
-                    out.push_str(&format!("error,,,,,,,,,,,,,,,,,{}", e.kind()));
+                    row.push("error".into());
+                    row.extend(shown().map(|_| String::new()));
+                    row.push(e.kind().into());
                 }
             }
             if with_attr {
                 match &job.attr {
-                    Some(a) => out.push_str(&format!(
-                        ",{},{},{},{},{},{},{}",
-                        a.busy,
-                        a.switch_overhead,
-                        a.memory_stall,
-                        a.lock_spin,
-                        a.barrier_wait,
-                        a.idle,
-                        a.issue_idle
-                    )),
-                    None => out.push_str(",,,,,,,"),
+                    Some(a) => row.extend(a.by_cat().iter().map(|(_, v)| v.to_string())),
+                    None => row.extend(Cat::ALL.iter().map(|_| String::new())),
                 }
             }
             if with_opt {
-                match &job.opt {
-                    Some(o) => out.push_str(&format!(",{}", o.group_mean())),
-                    None => out.push(','),
-                }
+                row.push(job.opt.map(|o| o.group_mean().to_string()).unwrap_or_default());
             }
+            out.push_str(&row.join(","));
             out.push('\n');
         }
         out

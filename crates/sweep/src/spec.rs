@@ -99,6 +99,13 @@ pub struct SweepSpec {
 /// Watchdog default: generous enough for every `Small`-scale table run.
 pub const DEFAULT_MAX_CYCLES: u64 = 300_000_000;
 
+/// Most values one integer axis may list, counting each value of a
+/// `LO-HI` range.
+pub const MAX_AXIS_VALUES: usize = 4096;
+
+/// Most grid points one sweep may expand to.
+pub const MAX_GRID_POINTS: usize = 100_000;
+
 impl Default for SweepSpec {
     fn default() -> SweepSpec {
         SweepSpec {
@@ -133,31 +140,9 @@ impl SweepSpec {
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         let value = value.trim();
         match key {
-            "apps" | "app" => {
-                self.apps = if value == "all" {
-                    AppKind::ALL.to_vec()
-                } else {
-                    value
-                        .split(',')
-                        .map(|s| {
-                            AppKind::from_name(s.trim())
-                                .ok_or_else(|| format!("unknown app {:?}", s.trim()))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-            }
+            "apps" | "app" => self.apps = names(value, &AppKind::ALL, AppKind::from_name, "app")?,
             "models" | "model" => {
-                self.models = if value == "all" {
-                    SwitchModel::ALL.to_vec()
-                } else {
-                    value
-                        .split(',')
-                        .map(|s| {
-                            SwitchModel::from_name(s.trim())
-                                .ok_or_else(|| format!("unknown model {:?}", s.trim()))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
+                self.models = names(value, &SwitchModel::ALL, SwitchModel::from_name, "model")?
             }
             "p" | "procs" => self.procs = parse_usize_list(value).map_err(|e| ctx(key, &e))?,
             "t" | "threads" => self.threads = parse_usize_list(value).map_err(|e| ctx(key, &e))?,
@@ -174,67 +159,24 @@ impl SweepSpec {
                     .collect::<Result<_, _>>()?;
             }
             "net" | "nets" => {
-                self.nets = if value == "all" {
-                    Topology::ALL.to_vec()
-                } else {
-                    value
-                        .split(',')
-                        .map(|s| {
-                            Topology::from_name(s.trim())
-                                .ok_or_else(|| format!("unknown topology {:?}", s.trim()))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
+                self.nets = names(value, &Topology::ALL, Topology::from_name, "topology")?
             }
             "opt" | "opts" | "opt-level" | "opt_level" => {
-                self.opts = if value == "all" {
-                    let mut all = vec![OptChoice::Auto];
-                    all.extend(OptLevel::ALL.into_iter().map(OptChoice::Level));
-                    all
-                } else {
-                    value
-                        .split(',')
-                        .map(|s| {
-                            OptChoice::from_name(s.trim())
-                                .ok_or_else(|| format!("unknown opt level {:?}", s.trim()))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
+                let all: Vec<OptChoice> = std::iter::once(OptChoice::Auto)
+                    .chain(OptLevel::ALL.into_iter().map(OptChoice::Level))
+                    .collect();
+                self.opts = names(value, &all, OptChoice::from_name, "opt level")?;
             }
-            "link-bw" | "link_bw" => {
-                self.link_bw =
-                    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))?;
-            }
-            "combining" => {
-                self.combining = match value {
-                    "true" | "1" | "on" | "yes" => true,
-                    "false" | "0" | "off" | "no" => false,
-                    _ => return Err(ctx(key, &format!("bad boolean {value:?}"))),
-                };
-            }
-            "attr" => {
-                self.attr = match value {
-                    "true" | "1" | "on" | "yes" => true,
-                    "false" | "0" | "off" | "no" => false,
-                    _ => return Err(ctx(key, &format!("bad boolean {value:?}"))),
-                };
-            }
+            "link-bw" | "link_bw" => self.link_bw = parse_int(key, value)?,
+            "combining" => self.combining = parse_bool(key, value)?,
+            "attr" => self.attr = parse_bool(key, value)?,
             "scale" => {
                 self.scale =
                     Scale::from_name(value).ok_or_else(|| format!("unknown scale {value:?}"))?;
             }
-            "max-cycles" | "max_cycles" => {
-                self.max_cycles =
-                    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))?;
-            }
-            "max-retries" | "max_retries" => {
-                self.max_retries =
-                    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))?;
-            }
-            "smt-width" | "smt_width" => {
-                self.smt_width =
-                    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))?;
-            }
+            "max-cycles" | "max_cycles" => self.max_cycles = parse_int(key, value)?,
+            "max-retries" | "max_retries" => self.max_retries = parse_int(key, value)?,
+            "smt-width" | "smt_width" => self.smt_width = parse_int(key, value)?,
             _ => return Err(format!("unknown sweep key {key:?}")),
         }
         Ok(())
@@ -294,20 +236,28 @@ impl SweepSpec {
         if self.smt_width == 0 {
             return Err("smt issue width must be >= 1".into());
         }
+        if self.len() > MAX_GRID_POINTS {
+            return Err(format!("sweep grid has more than {MAX_GRID_POINTS} points"));
+        }
         Ok(())
     }
 
-    /// Number of grid points without materializing them.
+    /// Number of grid points without materializing them, saturating at
+    /// `usize::MAX`.
     pub fn len(&self) -> usize {
-        self.apps.len()
-            * self.models.len()
-            * self.procs.len()
-            * self.threads.len()
-            * self.latencies.len()
-            * self.seeds.len()
-            * self.drop_rates.len()
-            * self.nets.len()
-            * self.opts.len()
+        [
+            self.apps.len(),
+            self.models.len(),
+            self.procs.len(),
+            self.threads.len(),
+            self.latencies.len(),
+            self.seeds.len(),
+            self.drop_rates.len(),
+            self.nets.len(),
+            self.opts.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// True when the grid has no points.
@@ -407,25 +357,63 @@ fn ctx(key: &str, e: &str) -> String {
     format!("key {key:?}: {e}")
 }
 
+/// A comma-separated list of names, or `all` for `every`.
+fn names<T: Copy>(
+    value: &str,
+    every: &[T],
+    from_name: impl Fn(&str) -> Option<T>,
+    what: &str,
+) -> Result<Vec<T>, String> {
+    if value == "all" {
+        return Ok(every.to_vec());
+    }
+    value
+        .split(',')
+        .map(|s| from_name(s.trim()).ok_or_else(|| format!("unknown {what} {:?}", s.trim())))
+        .collect()
+}
+
+fn parse_int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))
+}
+
+fn parse_bool(key: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "true" | "1" | "on" | "yes" => Ok(true),
+        "false" | "0" | "off" | "no" => Ok(false),
+        _ => Err(ctx(key, &format!("bad boolean {value:?}"))),
+    }
+}
+
 fn parse_usize_list(value: &str) -> Result<Vec<usize>, String> {
     parse_u64_list(value).map(|v| v.into_iter().map(|n| n as usize).collect())
 }
 
 /// `"1,2,4"` and `"1-4"` (inclusive) both work, and mix: `"1,4-6"`.
+/// The list may hold at most [`MAX_AXIS_VALUES`] values.
 fn parse_u64_list(value: &str) -> Result<Vec<u64>, String> {
     let mut out = Vec::new();
     for part in value.split(',') {
         let part = part.trim();
-        if let Some((lo, hi)) = part.split_once('-') {
-            let lo: u64 = lo.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
-            let hi: u64 = hi.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
-            if lo > hi {
-                return Err(format!("empty range {part:?}"));
+        let (lo, hi) = match part.split_once('-') {
+            Some((lo, hi)) => {
+                let lo: u64 = lo.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
+                let hi: u64 = hi.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
+                if lo > hi {
+                    return Err(format!("empty range {part:?}"));
+                }
+                (lo, hi)
             }
-            out.extend(lo..=hi);
-        } else {
-            out.push(part.parse().map_err(|_| format!("bad integer {part:?}"))?);
+            None => {
+                let n = part.parse().map_err(|_| format!("bad integer {part:?}"))?;
+                (n, n)
+            }
+        };
+        // Checked before expanding: a range is materialized value by value.
+        if hi - lo >= (MAX_AXIS_VALUES - out.len()) as u64 {
+            return Err(format!("{part:?} makes the list longer than {MAX_AXIS_VALUES} values"));
         }
+        out.extend(lo..=hi);
     }
     Ok(out)
 }
@@ -599,6 +587,43 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = SweepSpec::default();
         assert!(s.set("smt-width", "wide").is_err());
+    }
+
+    #[test]
+    fn over_wide_ranges_are_rejected_before_expanding() {
+        let mut s = SweepSpec::default();
+        let err = s.set("threads", "1-99999999999").unwrap_err();
+        assert!(err.contains("threads") && err.contains("4096"), "{err}");
+        assert!(s.set("seeds", &format!("0-{}", u64::MAX)).is_err());
+        assert!(s.set("latency", "1,2-4097").is_err(), "the cap counts the whole list");
+        assert_eq!(s.threads, SweepSpec::default().threads, "a failed set leaves the axis");
+        s.set("t", &format!("1-{MAX_AXIS_VALUES}")).unwrap();
+        assert_eq!(s.threads.len(), MAX_AXIS_VALUES);
+    }
+
+    #[test]
+    fn grids_past_the_point_cap_fail_validation() {
+        let mut s = SweepSpec::default();
+        s.set("t", "1-1000").unwrap();
+        s.set("seeds", "1-100").unwrap();
+        assert_eq!(s.len(), MAX_GRID_POINTS);
+        assert!(s.validate().is_ok());
+        s.set("latency", "1,2").unwrap();
+        assert!(s.validate().unwrap_err().contains("more than 100000 points"));
+        // An overflowing product (4096^6 = 2^72) saturates instead of
+        // wrapping round to a small grid.
+        let n = MAX_AXIS_VALUES;
+        let s = SweepSpec {
+            models: vec![SwitchModel::SwitchOnLoad; n],
+            procs: vec![1; n],
+            threads: vec![1; n],
+            latencies: vec![1; n],
+            seeds: vec![1; n],
+            drop_rates: vec![0.0; n],
+            ..SweepSpec::default()
+        };
+        assert_eq!(s.len(), usize::MAX);
+        assert!(s.validate().is_err());
     }
 
     #[test]
