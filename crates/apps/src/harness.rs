@@ -32,16 +32,6 @@ pub enum RunError {
     },
 }
 
-impl RunError {
-    /// The simulator error, when this failure wraps one.
-    pub fn sim_error(&self) -> Option<&SimError> {
-        match self {
-            RunError::Sim { err, .. } => Some(err),
-            RunError::Verify { .. } => None,
-        }
-    }
-}
-
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

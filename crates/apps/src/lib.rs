@@ -226,7 +226,7 @@ pub fn build_app(kind: AppKind, scale: Scale, nthreads: usize) -> BuiltApp {
             let (events, words) = match scale {
                 Scale::Tiny => (40, 256),
                 Scale::Small => (400, 2_048),
-                Scale::Full => (4_000, 8_192),
+                Scale::Full => (REPLAY_FULL_EVENTS, 8_192),
             };
             replay::build_replay(
                 replay::ReplayParams { seed: 0xEE, events_per_thread: events, addr_words: words },
@@ -235,6 +235,13 @@ pub fn build_app(kind: AppKind, scale: Scale, nthreads: usize) -> BuiltApp {
         }
     }
 }
+
+/// Events per thread of the full-scale replay workload. Even at replay's
+/// thread cap its trace stays within the synthetic-trace cap, so the
+/// replay CLI accepts the same size.
+const REPLAY_FULL_EVENTS: usize = 4_000;
+const _: () =
+    assert!(REPLAY_FULL_EVENTS * mtsim_replay::MAX_THREADS <= mtsim_replay::MAX_SYNTH_EVENTS);
 
 /// A closure that rebuilds `kind` at `scale` for any thread count —
 /// the shape the sweep helpers expect.

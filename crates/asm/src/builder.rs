@@ -483,11 +483,6 @@ impl ProgramBuilder {
         self.local.alloc(words) as i64
     }
 
-    /// Total local memory allocated so far.
-    pub fn local_size(&self) -> u64 {
-        self.local.size()
-    }
-
     // ------------------------------------------------------------------
     // Finishing
     // ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! One function per table/figure of the paper's evaluation.
 //!
-//! Every function returns structured rows so the `--bin` printers, the
-//! Criterion benches, and the shape-check integration tests all share one
-//! implementation. Absolute numbers differ from the 1992 testbed (scaled
-//! workloads, reconstructed applications); EXPERIMENTS.md records the
-//! paper-vs-measured comparison and the shape criteria.
+//! Every function returns structured rows so the `--bin` printers and the
+//! shape-check integration tests share one implementation. Absolute
+//! numbers differ from the 1992 testbed (scaled workloads, reconstructed
+//! applications); EXPERIMENTS.md records the paper-vs-measured comparison
+//! and the shape criteria.
 
 use mtsim_apps::{
     app_builder, baseline_cycles, build_app, efficiency, run_app, run_program, AppKind, Scale,

@@ -2,8 +2,10 @@
 //!
 //! The evaluation harness: one function per table/figure of Boothe &
 //! Ranade (ISCA 1992), each with a `--bin` that prints the paper-style
-//! rows (see `src/bin/`) and a plain `std::time` bench (`benches/`) that
-//! exercises the same code path at reduced scale.
+//! rows (see `src/bin/`). The bins report simulated results; the one
+//! host-timing bin, `obs_overhead`, guards the disabled-recorder budget.
+//! Host time of the engine, decode, checkpoint and HTTP layers is measured
+//! in one place, the `perfbench` workspace declared by `BENCHMARK.json`.
 //!
 //! | paper artifact | function | binary |
 //! |---|---|---|

@@ -129,7 +129,9 @@ use flags::{net_config, parse_latency_dist, FlagError};
 use std::borrow::Cow;
 
 use mtsim_apps::{build_app, program_for, replay::replay_app, run_program, AppKind, Scale};
-use mtsim_core::{Machine, MachineConfig, NoopRecorder, ObsRecorder, StreamHist, SwitchModel};
+use mtsim_core::{
+    Machine, MachineConfig, NoopRecorder, ObsRecorder, StreamHist, SwitchModel, MAX_TOTAL_THREADS,
+};
 use mtsim_mem::FaultConfig;
 use mtsim_opt::{GroupStats, OptLevel};
 use mtsim_sweep::{OptChoice, SweepOpts, SweepSpec};
@@ -658,7 +660,7 @@ fn cmd_opt(args: &Args) {
     let Some(app_name) = args.positional.get(1) else { usage() };
     let kind = parse_app(app_name);
     let scale = args.get("scale").map(parse_scale).unwrap_or(Scale::Tiny);
-    let threads: usize = args.get("t").map(|v| parse_num("t", v)).unwrap_or(4);
+    let threads = capped_threads(args);
     if threads == 0 {
         bad_usage("-t must be >= 1");
     }
@@ -706,8 +708,20 @@ fn read_and_compile(args: &Args, nthreads: usize) -> mtsim_lang::CompiledUnit {
     }
 }
 
-fn cmd_compile(args: &Args) {
+/// `-t` (default 4) for the commands that build a program without a
+/// machine (`opt`, `compile`), refused above the machine's context cap.
+fn capped_threads(args: &Args) -> usize {
     let threads: usize = args.get("t").map(|v| parse_num("t", v)).unwrap_or(4);
+    if threads > MAX_TOTAL_THREADS {
+        bad_usage(&format!(
+            "-t {threads} exceeds the cap of {MAX_TOTAL_THREADS} hardware contexts"
+        ));
+    }
+    threads
+}
+
+fn cmd_compile(args: &Args) {
+    let threads = capped_threads(args);
     let unit = read_and_compile(args, threads);
     if args.has("grouped") {
         let g = mtsim_opt::group_shared_loads(&unit.program);
@@ -897,8 +911,10 @@ fn cmd_replay(args: &Args) {
         }
         (None, Some(seed)) => {
             // A synthetic trace sized to the machine: one trace thread
-            // per hardware context.
+            // per hardware context. The machine is checked first, so an
+            // untrusted -p or -t never sizes an allocation.
             let threads = explicit_t.unwrap_or(4);
+            machine_config(args, (model, width), procs, threads);
             let mut sc = mtsim_replay::SynthConfig {
                 seed: parse_seed("synth", seed),
                 threads: procs * threads,
@@ -915,6 +931,14 @@ fn cmd_replay(args: &Args) {
             }
             if let Some(v) = args.get("sharing") {
                 sc.sharing = parse_num("sharing", v);
+            }
+            if sc.threads.saturating_mul(sc.events_per_thread) > mtsim_replay::MAX_SYNTH_EVENTS {
+                bad_usage(&format!(
+                    "--events {} x {} trace threads exceeds the replay cap of {} events",
+                    sc.events_per_thread,
+                    sc.threads,
+                    mtsim_replay::MAX_SYNTH_EVENTS
+                ));
             }
             compile_or_die(&mtsim_replay::synthesize(&sc), "synthetic trace")
         }

@@ -1,7 +1,8 @@
 //! End-to-end checks of the typed flag-error path: every malformed
 //! structured flag (`--latency-dist`, `--net`, `--link-bw`) exits with
 //! code 2 and names the flag, the offending value, and the accepted
-//! grammar on stderr.
+//! grammar on stderr; a size past a cap (threads, latency, replay
+//! events) exits 2 and names the cap.
 
 use std::process::{Command, Output};
 
@@ -20,19 +21,50 @@ fn assert_usage_error(args: &[&str], needles: &[&str]) {
 
 #[test]
 fn malformed_latency_dist_is_a_usage_error() {
+    let run = ["run", "sieve", "--scale", "tiny", "--fault-drop", "0.1"];
+    let huge = "18446744073709551615";
+    for (flags, needles) in [
+        (
+            ["--latency-dist", "gaussian:1:2"],
+            &["bad value 'gaussian:1:2' for --latency-dist", "geometric:MIN:MEAN"][..],
+        ),
+        // Latencies past the cap would wrap the clock or panic the draw.
+        (["--latency", huge], &["latency 18446744073709551615 exceeds the cap"]),
+        (["--latency-dist", &format!("uniform:1:{huge}")], &["uniform latency bound"]),
+        (["--latency-dist", &format!("geometric:{huge}:1")], &["geometric latency min"]),
+    ] {
+        assert_usage_error(&[&run[..], &flags[..]].concat(), needles);
+    }
     assert_usage_error(
-        &[
-            "run",
-            "sieve",
-            "--scale",
-            "tiny",
-            "--fault-drop",
-            "0.1",
-            "--latency-dist",
-            "gaussian:1:2",
-        ],
-        &["bad value 'gaussian:1:2' for --latency-dist", "geometric:MIN:MEAN"],
+        &["sweep", "--apps", "sieve", "--scale", "tiny", "--latency", huge],
+        &["invalid sweep", "exceeds the cap"],
     );
+}
+
+#[test]
+fn untrusted_sizes_are_refused_before_anything_is_built() {
+    let cap = "exceeds the cap of 16384 hardware contexts";
+    assert_usage_error(&["run", "sieve", "-t", "99999999", "--scale", "tiny"], &[cap]);
+    assert_usage_error(&["replay", "--synth", "1", "-t", "99999999"], &[cap]);
+    assert_usage_error(&["opt", "sieve", "-t", "99999999"], &[cap]);
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/kernels/histogram.mtc");
+    assert_usage_error(&["compile", kernel, "-t", "99999999"], &[cap]);
+    assert_usage_error(
+        &["replay", "--synth", "1", "--events", "99999999999"],
+        &["exceeds the replay cap of 4194304 events"],
+    );
+
+    let dir = std::env::temp_dir().join(format!("mtsim-caps-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("threads.spec");
+    std::fs::write(&spec, "apps=sieve\nthreads=100000000\nscale=tiny\n").unwrap();
+    let out = dir.join("out.json");
+    assert_usage_error(
+        &["sweep", "--spec", spec.to_str().unwrap(), "--out", out.to_str().unwrap()],
+        &["invalid sweep", cap],
+    );
+    assert!(!out.exists(), "a refused sweep must write nothing");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

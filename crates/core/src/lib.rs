@@ -51,7 +51,7 @@ mod thread;
 pub use decode::{DInst, DecodedProgram, F_RESETS_SPIN, F_SHARED_ACCESS};
 pub use engine::{FinishedRun, LeanRun, Machine, MachineScratch, ThreadImage};
 pub use events::EventQueue;
-pub use model::{MachineConfig, SwitchModel, DEFAULT_SMT_WIDTH};
+pub use model::{MachineConfig, SwitchModel, DEFAULT_SMT_WIDTH, MAX_TOTAL_THREADS};
 pub use stats::{DeadlockWaiter, ProcStats, RunLengthHist, RunResult, RunStats, SimError};
 
 pub use mtsim_mem::{NetStats, Network, NetworkConfig, Topology};

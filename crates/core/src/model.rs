@@ -1,7 +1,7 @@
 //! Multithreading models (the paper's Figure 1 taxonomy) and machine
 //! configuration.
 
-use mtsim_mem::{CacheParams, FaultConfig, NetworkConfig};
+use mtsim_mem::{CacheParams, FaultConfig, NetworkConfig, MAX_LATENCY};
 
 /// When a processor context-switches between its resident threads.
 ///
@@ -152,6 +152,13 @@ impl std::fmt::Display for SwitchModel {
 /// [`SwitchModel::Smt`] — four lanes, the classic SMT design point.
 pub const DEFAULT_SMT_WIDTH: usize = 4;
 
+/// Most hardware contexts (`processors × threads_per_proc`) one machine
+/// may have. Every context owns a register file and local memory, and
+/// apps and traces are built per context, so an untrusted count is
+/// refused here before anything is allocated. The largest in-tree machine
+/// is 16 × 32 = 512 contexts (full scale).
+pub const MAX_TOTAL_THREADS: usize = 1 << 14;
+
 /// Full machine configuration.
 ///
 /// Defaults follow the paper: 200-cycle round-trip latency, zero-cost
@@ -268,12 +275,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the cache geometry (builder style).
-    pub fn with_cache(mut self, cache: CacheParams) -> MachineConfig {
-        self.cache = cache;
-        self
-    }
-
     /// Sets the forced-switch interval (builder style).
     pub fn with_max_run(mut self, max_run: Option<u64>) -> MachineConfig {
         self.max_run = max_run;
@@ -316,6 +317,28 @@ impl MachineConfig {
         self
     }
 
+    /// Checks the sizes an untrusted caller could make huge: the total
+    /// hardware contexts ([`MAX_TOTAL_THREADS`]) and the base latency
+    /// ([`MAX_LATENCY`]). [`MachineConfig::try_validate`] runs it too; a
+    /// caller that builds apps before validating each machine runs it
+    /// first, so no allocation is ever sized by an uncapped count.
+    pub fn check_caps(&self) -> Result<(), String> {
+        if self.processors.checked_mul(self.threads_per_proc).is_none_or(|n| n > MAX_TOTAL_THREADS)
+        {
+            return Err(format!(
+                "{} processors x {} threads exceeds the cap of {MAX_TOTAL_THREADS} hardware contexts",
+                self.processors, self.threads_per_proc
+            ));
+        }
+        if self.latency > MAX_LATENCY {
+            return Err(format!(
+                "latency {} exceeds the cap of {MAX_LATENCY} cycles",
+                self.latency
+            ));
+        }
+        Ok(())
+    }
+
     /// Validates the configuration, returning a description of the first
     /// problem found instead of panicking.
     pub fn try_validate(&self) -> Result<(), String> {
@@ -325,6 +348,7 @@ impl MachineConfig {
         if self.threads_per_proc == 0 {
             return Err("need at least one thread per processor".into());
         }
+        self.check_caps()?;
         if self.model.uses_cache() {
             self.cache.validate();
             if self.processors > 128 {
@@ -437,6 +461,24 @@ mod tests {
         let fault = FaultConfig { drop_rate: 1.5, ..FaultConfig::default() };
         let c = MachineConfig::default().with_faults(fault);
         assert!(c.try_validate().is_err());
+    }
+
+    #[test]
+    fn thread_count_and_latency_are_capped() {
+        let c = MachineConfig::new(SwitchModel::SwitchOnLoad, 16, MAX_TOTAL_THREADS / 16);
+        assert!(c.try_validate().is_ok());
+        let c = MachineConfig::new(SwitchModel::SwitchOnLoad, 16, MAX_TOTAL_THREADS / 16 + 1);
+        assert!(c.try_validate().unwrap_err().contains("hardware contexts"));
+        let c = MachineConfig::new(SwitchModel::SwitchOnLoad, usize::MAX, 2);
+        assert!(c.try_validate().unwrap_err().contains("hardware contexts"));
+
+        assert!(MachineConfig::default().with_latency(MAX_LATENCY).try_validate().is_ok());
+        let c = MachineConfig::default().with_latency(u64::MAX);
+        assert!(c.try_validate().unwrap_err().contains("latency"));
+        let dist = mtsim_mem::LatencyDist::Uniform { lo: 1, hi: u64::MAX };
+        let c =
+            MachineConfig::default().with_faults(FaultConfig { dist, ..FaultConfig::default() });
+        assert!(c.try_validate().unwrap_err().contains("cap"));
     }
 
     #[test]

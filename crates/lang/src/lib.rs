@@ -59,8 +59,6 @@ mod parser;
 
 pub use codegen::CompiledUnit;
 
-use mtsim_asm::SharedLayout;
-
 /// A source-located compile error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
@@ -93,20 +91,4 @@ pub fn compile(name: &str, source: &str, nthreads: usize) -> Result<CompiledUnit
     let tokens = lexer::lex(source)?;
     let unit = parser::parse(&tokens)?;
     codegen::generate(name, &unit, nthreads as i64)
-}
-
-/// Convenience: compile and also return the shared layout size the
-/// machine needs.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with_layout(
-    name: &str,
-    source: &str,
-    nthreads: usize,
-) -> Result<(CompiledUnit, SharedLayout), CompileError> {
-    let unit = compile(name, source, nthreads)?;
-    let layout = unit.layout.clone();
-    Ok((unit, layout))
 }

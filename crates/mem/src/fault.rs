@@ -23,6 +23,13 @@
 
 use mtsim_rng::Rng;
 
+/// Largest round-trip latency, in cycles, a configuration may ask for:
+/// the machine's base latency and every bound of a [`LatencyDist`].
+/// Millions of times beyond any latency the experiments use (the latency
+/// sweep stops at 800), it keeps `now + latency`, the geometric tail and
+/// the four-latency drop timeout far from wrapping the 64-bit clock.
+pub const MAX_LATENCY: u64 = 1 << 32;
+
 /// Distribution of the shared-memory round-trip latency.
 ///
 /// `base` in the draw methods is the machine's configured constant latency
@@ -169,10 +176,18 @@ impl FaultConfig {
             if lo > hi {
                 return Err(format!("uniform latency range {lo}..{hi} is empty"));
             }
+            if hi > MAX_LATENCY {
+                return Err(format!("uniform latency bound {hi} exceeds the cap of {MAX_LATENCY}"));
+            }
         }
-        if let LatencyDist::Geometric { p, .. } = self.dist {
+        if let LatencyDist::Geometric { min, p } = self.dist {
             if !(p > 0.0 && p <= 1.0) {
                 return Err(format!("geometric latency p {p} outside (0, 1]"));
+            }
+            if min > MAX_LATENCY {
+                return Err(format!(
+                    "geometric latency min {min} exceeds the cap of {MAX_LATENCY}"
+                ));
             }
         }
         if self.drop_rate > 0.0 && self.max_retries == 0 {

@@ -44,7 +44,7 @@ mod trace;
 mod traffic;
 
 pub use cache::{CacheParams, CacheStats, CoherentCaches, OneLineCache};
-pub use fault::{FaultConfig, FaultPlan, LatencyDist, ReplyOutcome, RetryExhausted};
+pub use fault::{FaultConfig, FaultPlan, LatencyDist, ReplyOutcome, RetryExhausted, MAX_LATENCY};
 pub use shared::SharedMemory;
 pub use trace::{TraceEvent, TraceKind};
 pub use traffic::{message_bits, MsgClass, Traffic, ADDR_BITS, HDR_BITS, WORD_BITS};

@@ -12,6 +12,14 @@ use std::collections::BTreeMap;
 /// allocating gigabytes.
 pub const MAX_ADDR_WORDS: u64 = 1 << 20;
 
+/// Upper bound on the events a caller should ask [`crate::synthesize`]
+/// for when the size comes from untrusted input (a few bytes of flags
+/// would otherwise size an unbounded allocation). Recorded traces are
+/// bounded by their own file size and are not checked against it. It
+/// sits above the largest in-tree synthetic trace, 4000 events per
+/// thread at [`MAX_THREADS`] threads.
+pub const MAX_SYNTH_EVENTS: usize = 1 << 22;
+
 /// Upper bound on distinct thread ids in a trace. Ids are mapped densely
 /// (gaps are fine, `u32::MAX` is fine), but each becomes a simulated
 /// thread with its own register file.

@@ -37,5 +37,7 @@
 mod compile;
 mod synth;
 
-pub use compile::{compile, ReplayError, TraceProgram, MAX_ADDR_WORDS, MAX_THREADS};
+pub use compile::{
+    compile, ReplayError, TraceProgram, MAX_ADDR_WORDS, MAX_SYNTH_EVENTS, MAX_THREADS,
+};
 pub use synth::{synthesize, SynthConfig};

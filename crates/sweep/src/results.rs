@@ -259,9 +259,8 @@ impl JobOutcome {
 /// and [`SweepOutcome::results_csv`] derive only from specs and
 /// deterministic simulation results, so they are byte-identical across
 /// worker counts and submission orders. Wall-clock, throughput, and
-/// cache-hit telemetry live in separate accessors (and
-/// [`SweepOutcome::telemetry_json`]) because they legitimately vary from
-/// run to run.
+/// cache-hit telemetry live in separate fields and accessors because
+/// they legitimately vary from run to run.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Outcomes sorted by job id.
@@ -328,8 +327,7 @@ impl SweepOutcome {
     ///
     /// Contains only data that is a pure function of the job specs and the
     /// (deterministic) simulations: byte-identical for the same grid at
-    /// any worker count. Telemetry is deliberately excluded; see
-    /// [`SweepOutcome::telemetry_json`].
+    /// any worker count. Telemetry is deliberately excluded.
     pub fn results_json(&self) -> String {
         let mut j = JsonBuilder::new();
         j.begin_object();
@@ -450,26 +448,6 @@ impl SweepOutcome {
             out.push('\n');
         }
         out
-    }
-
-    /// Scheduling-dependent telemetry as JSON: wall-clock, throughput,
-    /// worker count, cache statistics. Varies run to run by design — keep
-    /// it out of golden files.
-    pub fn telemetry_json(&self) -> String {
-        let mut j = JsonBuilder::new();
-        j.begin_object();
-        j.key("workers").u64(self.workers as u64);
-        j.key("wall_ms").f64(self.wall.as_secs_f64() * 1e3);
-        j.key("jobs").u64(self.jobs.len() as u64);
-        j.key("ok").u64(self.ok_count() as u64);
-        j.key("failed").u64(self.failed_count() as u64);
-        j.key("jobs_per_sec").f64(self.jobs_per_sec());
-        j.key("sim_cycles_per_sec").f64(self.sim_cycles_per_sec());
-        j.key("cache_hits").u64(self.cache_hits);
-        j.key("cache_misses").u64(self.cache_misses);
-        j.key("machine_reuses").u64(self.machine_reuses);
-        j.end();
-        j.finish()
     }
 
     /// One-line human summary for stderr.
@@ -617,6 +595,5 @@ mod tests {
         assert_eq!(out.failed_count(), 1);
         assert_eq!(out.total_sim_cycles(), 2000);
         assert!(out.jobs_per_sec() > 0.0);
-        assert!(out.telemetry_json().contains(r#""workers":1"#));
     }
 }

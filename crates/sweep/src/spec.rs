@@ -239,6 +239,21 @@ impl SweepSpec {
         if self.len() > MAX_GRID_POINTS {
             return Err(format!("sweep grid has more than {MAX_GRID_POINTS} points"));
         }
+        // Every distinct machine of the grid is within the engine's size
+        // caps before any app is built. Apps, seeds and opt levels do not
+        // size the machine, so one value of each stands in for its axis.
+        // Other invalid machines stay per-row `config` errors.
+        let machines = SweepSpec {
+            apps: self.apps[..1].to_vec(),
+            seeds: self.seeds[..1].to_vec(),
+            opts: self.opts[..1].to_vec(),
+            ..self.clone()
+        };
+        for job in machines.expand() {
+            job.config().check_caps().map_err(|e| {
+                format!("{} at P={} T={}: {e}", job.model, job.procs, job.threads_per_proc)
+            })?;
+        }
         Ok(())
     }
 
@@ -636,6 +651,27 @@ mod tests {
         assert!(s.validate().is_err());
         let s = SweepSpec { drop_rates: vec![1.5], ..SweepSpec::default() };
         assert!(s.validate().is_err());
+
+        // Every machine of the grid is checked against the engine's caps.
+        let mut s = SweepSpec::default();
+        s.set("threads", "2,100000000").unwrap();
+        let e = s.validate().unwrap_err();
+        assert!(e.contains("T=100000000") && e.contains("hardware contexts"), "{e}");
+
+        let mut s = SweepSpec::default();
+        s.set("latencies", "200,18446744073709551615").unwrap();
+        assert!(s.validate().unwrap_err().contains("latency 18446744073709551615"));
+        // The ideal machine runs at latency 0 whatever the axis says.
+        s.set("models", "ideal").unwrap();
+        assert!(s.validate().is_ok());
+
+        // A machine invalid for a reason other than a cap is left to its
+        // grid rows, which fail as `config` errors while the rest run.
+        let mut s = SweepSpec::default();
+        s.set("models", "all").unwrap();
+        s.set("drop_rates", "0,0.05").unwrap();
+        assert!(s.validate().is_ok());
+        assert!(s.expand().iter().any(|j| j.config().try_validate().is_err()));
     }
 
     #[test]

@@ -47,10 +47,16 @@ fn parallel_shuffled_sweep_is_byte_identical_to_serial() {
     let spec = faulty_grid();
     let serial = run_sweep(&spec, &opts(1)).unwrap();
     let parallel = run_job_specs(shuffled(spec.expand()), &opts(8));
+    // Streaming every row to a checkpoint must not change the table.
+    let path = temp_ckpt("streamed");
+    let streamed = run_sweep(&spec, &SweepOpts { stream: Some(path.clone()), ..opts(4) }).unwrap();
+    std::fs::remove_file(&path).ok();
 
     assert_eq!(serial.jobs.len(), 32);
-    assert_eq!(serial.results_json(), parallel.results_json());
-    assert_eq!(serial.results_csv(), parallel.results_csv());
+    for other in [&parallel, &streamed] {
+        assert_eq!(serial.results_json(), other.results_json());
+        assert_eq!(serial.results_csv(), other.results_csv());
+    }
     // The fault seeds are live, not decorative: every drop_rate > 0 row
     // must have gone through at least one retry somewhere in the grid.
     let retries: u64 = serial
