@@ -46,7 +46,7 @@ pub const F_LOCAL_EXEC: u8 = 1 << 2;
 /// the program counter (not a branch or jump) — control always falls
 /// through to `pc + 1`. Maximal runs of these form the straight-line
 /// blocks the fast path executes without per-instruction scheduler,
-/// watchdog, or scoreboard checks (see [`DecodedProgram::straight_run`]).
+/// watchdog, or scoreboard checks (see [`DInst::run`]).
 pub const F_STRAIGHT: u8 = 1 << 3;
 
 /// One pre-decoded instruction: the original [`Inst`] payload plus every
@@ -67,6 +67,13 @@ pub struct DInst {
     pub int_def: u8,
     /// [`F_SHARED_ACCESS`] | [`F_RESETS_SPIN`].
     pub flags: u8,
+    /// Length of the maximal run of [straight-line](DInst::is_straight)
+    /// instructions starting here (0 when this one is not straight). A
+    /// property of the program, not of the instruction: filled in by
+    /// [`DecodedProgram::decode`], 0 from [`DInst::decode`] alone. It
+    /// sits in what would be padding, so the table stays 40 bytes an
+    /// entry and the fast path reads it with the flags.
+    pub run: u32,
 }
 
 impl DInst {
@@ -137,6 +144,7 @@ impl DInst {
             fp_def_mask,
             int_def,
             flags,
+            run: 0,
         }
     }
 
@@ -174,12 +182,6 @@ impl DInst {
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     insts: Arc<[DInst]>,
-    /// `straight[pc]` = length of the maximal run of
-    /// [straight-line](DInst::is_straight) instructions starting at `pc`
-    /// (0 when `insts[pc]` itself is not straight). The fast path
-    /// executes such a run as one block, hoisting every per-instruction
-    /// check out of it.
-    straight: Arc<[u32]>,
 }
 
 impl DecodedProgram {
@@ -187,23 +189,18 @@ impl DecodedProgram {
     /// and paid once — the engine never calls the per-instruction ISA
     /// queries again.
     pub fn decode(program: &Program) -> DecodedProgram {
-        let insts: Arc<[DInst]> = program.insts().iter().map(|&i| DInst::decode(i)).collect();
+        // Decoded straight into the shared table (one allocation, no
+        // copy), which is still unshared when the runs are filled in.
+        let mut insts: Arc<[DInst]> = program.insts().iter().map(|&i| DInst::decode(i)).collect();
+        let table = Arc::get_mut(&mut insts).expect("a table nothing else holds yet");
         // Suffix scan: run lengths chain backward over straight-line
         // instructions and reset to zero at every block boundary.
-        let mut straight = vec![0u32; insts.len()];
         let mut run = 0u32;
-        for (i, di) in insts.iter().enumerate().rev() {
+        for di in table.iter_mut().rev() {
             run = if di.is_straight() { run + 1 } else { 0 };
-            straight[i] = run;
+            di.run = run;
         }
-        DecodedProgram { insts, straight: straight.into() }
-    }
-
-    /// Length of the straight-line block starting at `pc` (0 when the
-    /// instruction there is a branch, a shared access, or out of range).
-    #[inline]
-    pub fn straight_run(&self, pc: usize) -> u32 {
-        self.straight.get(pc).copied().unwrap_or(0)
+        DecodedProgram { insts }
     }
 
     /// Number of instructions.
@@ -374,5 +371,31 @@ mod tests {
         assert_eq!(d.len(), prog.len());
         let d2 = d.clone();
         assert!(std::ptr::eq(d.insts(), d2.insts()), "clone must share the table");
+    }
+
+    #[test]
+    fn run_lengths_count_the_straight_line_suffix() {
+        // Every shape, in order, then twice more: the run at each pc must
+        // equal a forward count of straight instructions from there.
+        let mut b = mtsim_asm::ProgramBuilder::new("t");
+        for inst in all_shapes().into_iter().cycle().take(3 * all_shapes().len()) {
+            b.emit(inst);
+        }
+        let prog = b.finish();
+        let d = DecodedProgram::decode(&prog);
+        let insts = d.insts();
+        for (pc, di) in insts.iter().enumerate() {
+            let want = insts[pc..].iter().take_while(|x| x.is_straight()).count() as u32;
+            assert_eq!(di.run, want, "pc {pc}: {:?}", di.inst);
+            assert_eq!(DInst::decode(di.inst).run, 0, "a lone decode knows no program");
+        }
+        assert!(insts.iter().any(|di| di.run >= 2), "the shapes hold straight-line runs");
+    }
+
+    #[test]
+    fn table_entries_stay_forty_bytes() {
+        // The run length lives in the entry's padding; a wider entry
+        // costs the fast path cache footprint on every program.
+        assert_eq!(std::mem::size_of::<DInst>(), 40);
     }
 }

@@ -38,6 +38,12 @@ use mtsim_mem::{
 };
 use mtsim_obs::{Cat, EventKind, Metric, NoopRecorder, Recorder, SwitchCause};
 
+/// The engine's internal result: the error is boxed so that every step's
+/// `Result` stays a word or two wide (a `SimError` is several words, and
+/// `exec` and the steppers return one per simulated instruction). The
+/// public API unboxes it once, when a run fails.
+type Res<T> = Result<T, Box<SimError>>;
+
 #[derive(Debug, Default)]
 struct Counters {
     taken: u64,
@@ -425,44 +431,8 @@ impl Machine {
         rec: &mut R,
     ) -> Result<(RunResult, SharedMemory, Threads), SimError> {
         let Machine { mut sys, mut procs } = self;
-        let mut events = EventQueue::new();
-        for p in 0..procs.len() {
-            events.push(0, p);
-        }
-        // Skip-ahead loop: each pop *jumps* the popped processor's clock
-        // to the event time (idle gaps are never ticked through), and
-        // `peek_time` is the horizon it may run ahead of other
-        // processors before its next shared access.
+        run_events(&mut sys, &mut procs, rec).map_err(|e| *e)?;
         let smt = sys.config.model == SwitchModel::Smt;
-        while let Some((t, p)) = events.pop() {
-            let proc = &mut procs[p];
-            proc.time = proc.time.max(t);
-            let peek = events.peek_time();
-            loop {
-                let step = if smt {
-                    step_proc_smt(&mut sys, proc, p, peek, rec)?
-                } else {
-                    step_proc(&mut sys, proc, p, peek, rec)?
-                };
-                match step {
-                    // Strictly earlier than every queued event: a push
-                    // would pop straight back (equal times must queue —
-                    // the older event pops first). Skip the round trip
-                    // and keep driving the same processor; `peek` is
-                    // unchanged because nothing was pushed.
-                    StepOut::Reschedule(at) if at < peek => continue,
-                    StepOut::Reschedule(at) => {
-                        events.push(at, p);
-                        break;
-                    }
-                    StepOut::Done => break,
-                }
-            }
-        }
-        #[cfg(feature = "debug-invariants")]
-        events.assert_drained();
-        debug_assert!(sys.threads.halted.iter().all(|&h| h), "event queue drained early");
-
         let cycles = procs.iter().map(|p| p.stats.finish_time).max().unwrap_or(0);
         if R::ENABLED {
             // End-of-run slack: a processor that finished early idles until
@@ -522,17 +492,67 @@ impl Machine {
     }
 }
 
+/// The skip-ahead event loop: drives every processor until the queue
+/// drains. Each pop *jumps* the popped processor's clock to the event
+/// time (idle gaps are never ticked through), and `peek_time` is the
+/// horizon it may run ahead of other processors before its next shared
+/// access.
+fn run_events<R: Recorder>(sys: &mut Sys, procs: &mut [Proc], rec: &mut R) -> Res<()> {
+    let mut events = EventQueue::new();
+    for p in 0..procs.len() {
+        events.push(0, p);
+    }
+    let smt = sys.config.model == SwitchModel::Smt;
+    // SMT's per-cycle ready list, allocated once per run.
+    let mut ready = Vec::with_capacity(if smt { sys.config.threads_per_proc } else { 0 });
+    while let Some((t, p)) = events.pop() {
+        let proc = &mut procs[p];
+        proc.time = proc.time.max(t);
+        let peek = events.peek_time();
+        loop {
+            let step = if smt {
+                step_proc_smt(sys, proc, p, peek, &mut ready, rec)?
+            } else {
+                step_proc(sys, proc, p, peek, rec)?
+            };
+            match step {
+                // Strictly earlier than every queued event: a push
+                // would pop straight back (equal times must queue —
+                // the older event pops first). Skip the round trip
+                // and keep driving the same processor; `peek` is
+                // unchanged because nothing was pushed.
+                StepOut::Reschedule(at) if at < peek => continue,
+                StepOut::Reschedule(at) => {
+                    events.push(at, p);
+                    break;
+                }
+                StepOut::Done => break,
+            }
+        }
+    }
+    #[cfg(feature = "debug-invariants")]
+    events.assert_drained();
+    debug_assert!(sys.threads.halted.iter().all(|&h| h), "event queue drained early");
+    Ok(())
+}
+
 /// Executes processor `p` from its current time until it must hand
 /// control back to the event loop: the switching models' run-until-yield
 /// scheduling policy.
+#[inline(always)]
 fn step_proc<R: Recorder>(
     sys: &mut Sys,
     proc: &mut Proc,
     p: usize,
     peek: u64,
     rec: &mut R,
-) -> Result<StepOut, SimError> {
+) -> Res<StepOut> {
     let mut last_time = proc.time;
+    // A processor re-entered with a current thread was rescheduled at a
+    // shared access (the only way out with one), so its first step is
+    // that access: no local run to take first.
+    #[cfg(not(feature = "debug-invariants"))]
+    let mut resumed = proc.current.is_some();
     loop {
         #[cfg(feature = "debug-invariants")]
         assert_step_invariants(p, proc, &sys.threads, &sys.config);
@@ -547,37 +567,15 @@ fn step_proc<R: Recorder>(
             }
             let ths = &sys.threads;
             let now = proc.time;
-            // Round-robin over runnable threads; with priority
-            // scheduling enabled, a runnable higher-priority thread
-            // (e.g. one inside a critical region) is taken first.
-            let pick = if sys.config.priority_scheduling {
-                proc.queue
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &t)| ths.wake[t] <= now)
-                    .max_by_key(|&(i, &t)| (ths.prio[t], std::cmp::Reverse(i)))
-                    .map(|(i, _)| i)
-            } else {
-                proc.queue.iter().position(|&t| ths.wake[t] <= now)
-            };
-            match pick {
-                Some(i) => {
-                    proc.current = proc.queue.remove(i);
+            match pick(&proc.queue, ths, now, sys.config.priority_scheduling) {
+                Ok(i) => {
+                    proc.current =
+                        if i == 0 { proc.queue.pop_front() } else { proc.queue.remove(i) };
                     if R::ENABLED {
                         rec.event(proc.time, p, proc.current.expect("picked"), EventKind::SwitchIn);
                     }
                 }
-                None => {
-                    // `min_by_key` keeps the first of equal wakes, so
-                    // the chosen (wake, thread) pair is deterministic
-                    // and the wake value matches the former plain
-                    // `min()` over wake times.
-                    let (wtid, wake) = proc
-                        .queue
-                        .iter()
-                        .map(|&t| (t, ths.wake[t]))
-                        .min_by_key(|&(_, w)| w)
-                        .expect("nonempty");
+                Err((wtid, wake)) => {
                     // No lost wakeups: a sleep is only legal when every
                     // resident thread really wakes strictly later.
                     #[cfg(feature = "debug-invariants")]
@@ -594,6 +592,11 @@ fn step_proc<R: Recorder>(
                     rec.charge(wtid, ths.cold[wtid].wait, wake - proc.time);
                     proc.stats.idle += wake - proc.time;
                     proc.time = wake;
+                    // Strictly earlier than every queued event: keep
+                    // driving this processor, as the event loop would.
+                    if wake < peek {
+                        continue;
+                    }
                     return Ok(StepOut::Reschedule(wake));
                 }
             }
@@ -615,7 +618,7 @@ fn step_proc<R: Recorder>(
         // hands that instruction back to the slow path untouched
         // (the ready-purge it re-runs is idempotent).
         #[cfg(not(feature = "debug-invariants"))]
-        if !R::ENABLED && sys.config.model != SwitchModel::SwitchEveryCycle {
+        if !resumed && !R::ENABLED && sys.config.model != SwitchModel::SwitchEveryCycle {
             let config = &sys.config;
             let decoded = &sys.decoded;
             let cancel = sys.cancel.as_deref();
@@ -626,11 +629,15 @@ fn step_proc<R: Recorder>(
             let mut stall = 0u64;
             let mut steps = 0u64;
             let mut fast_err = None;
+            // The pc lives in a local for the whole loop and is committed
+            // to `th.pc` once, after it: no local body reads `th.pc`, and
+            // a failing instruction reports its own `pc0`.
+            let mut pc = th.pc;
             // Bounded so a local-only spin (cost-0 loops included)
             // still reaches the outer loop's watchdog and cancel
             // checks at the same observable points as the slow path.
             while steps < 65_536 {
-                let Some(di) = insts.get(th.pc as usize) else { break };
+                let Some(di) = insts.get(pc as usize) else { break };
                 if !di.is_local_exec() || time > config.max_cycles {
                     break;
                 }
@@ -666,10 +673,9 @@ fn step_proc<R: Recorder>(
                     // block-entry-to-block-exit. Bodies and
                     // accounting are the same per-instruction
                     // sequence as below, so results are identical.
-                    let run = decoded.straight_run(th.pc as usize).min(65_536 - steps as u32);
+                    let run = di.run.min(65_536 - steps as u32);
                     if run >= 2 {
-                        let start = th.pc as usize;
-                        let mut pc = th.pc;
+                        let start = pc as usize;
                         let mut cycles = 0u64;
                         for bdi in &insts[start..start + run as usize] {
                             cycles += bdi.cost as u64;
@@ -678,18 +684,13 @@ fn step_proc<R: Recorder>(
                             if bdi.resets_spin() {
                                 th.reset_spin();
                             }
-                            // `th.pc` is committed after the loop:
-                            // straight-line bodies never read it, and
-                            // a failing instruction reports `pc0`.
                             if let Err(e) = exec_local(bdi, th, tid, pc0) {
                                 fast_err = Some(e);
                                 break;
                             }
                         }
-                        th.pc = pc;
                         time += cycles;
                         busy += cycles;
-                        th.run_cycles += cycles;
                         steps += (pc as u64) - (start as u64);
                         if fast_err.is_some() {
                             break;
@@ -697,24 +698,30 @@ fn step_proc<R: Recorder>(
                         continue;
                     }
                 }
-                let pc0 = th.pc;
+                let pc0 = pc;
                 let c = di.cost as u64;
                 time += c;
                 busy += c;
                 steps += 1;
-                th.run_cycles += c;
-                th.pc += 1;
+                pc += 1;
                 if di.resets_spin() {
                     th.reset_spin();
                 }
                 if !th.pending.is_empty() {
                     th.kill_pending_masks(di.int_def, di.fp_def_mask);
                 }
-                if let Err(e) = exec_local(di, th, tid, pc0) {
-                    fast_err = Some(e);
-                    break;
+                match exec_local(di, th, tid, pc0) {
+                    Ok(None) => {}
+                    Ok(Some(target)) => pc = target,
+                    Err(e) => {
+                        fast_err = Some(e);
+                        break;
+                    }
                 }
             }
+            th.pc = pc;
+            // Every local cycle is busy and extends the current run.
+            th.run_cycles += busy;
             if steps > 0 {
                 proc.time = time;
                 proc.stats.busy += busy;
@@ -724,11 +731,20 @@ fn step_proc<R: Recorder>(
                 if let Some(e) = fast_err {
                     return Err(e);
                 }
-                continue;
+                // The next instruction's guard, then straight on to the
+                // slow path with it (the thread is still current): the
+                // same checks in the same order as going round the loop,
+                // without re-entering the fast path only to break out of
+                // it at once on the shared access it stopped at.
+                step_guard(sys, proc, p, &mut last_time)?;
             }
         }
+        #[cfg(not(feature = "debug-invariants"))]
+        {
+            resumed = false;
+        }
 
-        let di = sys.decoded.inst(checked_pc(sys, tid)?);
+        let di = *sys.decoded.inst(checked_pc(sys, tid)?);
 
         // Event boundary: shared accesses must execute in global time
         // order. If we have run ahead of the next event, hand control
@@ -764,7 +780,7 @@ fn step_proc<R: Recorder>(
         }
 
         // Execute one instruction.
-        let outcome = exec(sys, proc, p, tid, rec)?;
+        let outcome = exec(sys, proc, p, tid, &di, rec)?;
         check_deadlock(sys, proc.time)?;
         match outcome {
             Outcome::Continue => {
@@ -777,6 +793,39 @@ fn step_proc<R: Recorder>(
             Outcome::Halt => halt(sys, proc, p, tid, rec),
         }
     }
+}
+
+/// The switching models' thread pick on a processor whose resident
+/// queue is non-empty, in one pass over it: `Ok(i)` is the queue index
+/// of the thread to run at `now` — the first runnable thread in
+/// round-robin order or, with priority scheduling, the first runnable
+/// thread of the highest priority (e.g. one inside a critical region).
+/// When nothing is runnable, `Err((tid, wake))` names the earliest
+/// sleeper, the first of equal wakes, so the sleep is deterministic.
+#[inline]
+fn pick(
+    queue: &VecDeque<usize>,
+    ths: &Threads,
+    now: u64,
+    priority: bool,
+) -> Result<usize, (usize, u64)> {
+    let mut best: Option<(usize, u8)> = None;
+    let mut earliest: Option<(usize, u64)> = None;
+    for (i, &t) in queue.iter().enumerate() {
+        let wake = ths.wake[t];
+        if wake <= now {
+            if !priority {
+                return Ok(i);
+            }
+            let prio = ths.prio[t];
+            if best.is_none_or(|(_, b)| prio > b) {
+                best = Some((i, prio));
+            }
+        } else if earliest.is_none_or(|(_, e)| wake < e) {
+            earliest = Some((t, wake));
+        }
+    }
+    best.map(|(i, _)| i).ok_or_else(|| earliest.expect("a non-empty queue"))
 }
 
 /// Executes processor `p` under [`SwitchModel::Smt`]: a per-cycle
@@ -805,12 +854,12 @@ fn step_proc_smt<R: Recorder>(
     proc: &mut Proc,
     p: usize,
     peek: u64,
+    ready: &mut Vec<usize>,
     rec: &mut R,
-) -> Result<StepOut, SimError> {
+) -> Res<StepOut> {
     let tpp = sys.config.threads_per_proc;
     let lo = p * tpp;
     let width = sys.config.issue_width;
-    let mut ready: Vec<usize> = Vec::with_capacity(tpp);
 
     let mut last_time = proc.time;
     loop {
@@ -892,14 +941,14 @@ fn step_proc_smt<R: Recorder>(
         }
         let first = ready[0];
         for &tid in ready.iter().take(avail) {
-            let cost = sys.decoded.inst(sys.threads.cold[tid].pc as usize).cost as u64;
-            let outcome = exec(sys, proc, p, tid, rec)?;
+            let di = *sys.decoded.inst(sys.threads.cold[tid].pc as usize);
+            let outcome = exec(sys, proc, p, tid, &di, rec)?;
             // `exec` advanced the clock by `cost` (the switching
             // models' serial semantics); SMT lanes run concurrently,
             // so the cycle stays at `now` and the drain is tracked per
             // thread through its wake time instead.
             proc.time = now;
-            sys.threads.wake[tid] = now + cost;
+            sys.threads.wake[tid] = now + di.cost as u64;
             check_deadlock(sys, now)?;
             match outcome {
                 Outcome::Continue => {}
@@ -918,7 +967,7 @@ fn step_proc_smt<R: Recorder>(
 /// `last_time`), the simulated-cycle watchdog, and the external cancel
 /// token.
 #[inline]
-fn step_guard(sys: &Sys, proc: &Proc, p: usize, last_time: &mut u64) -> Result<(), SimError> {
+fn step_guard(sys: &Sys, proc: &Proc, p: usize, last_time: &mut u64) -> Res<()> {
     #[cfg(feature = "debug-invariants")]
     {
         assert!(
@@ -931,34 +980,45 @@ fn step_guard(sys: &Sys, proc: &Proc, p: usize, last_time: &mut u64) -> Result<(
     #[cfg(not(feature = "debug-invariants"))]
     let _ = (p, last_time);
     if proc.time > sys.config.max_cycles {
-        return Err(SimError::Watchdog {
-            max_cycles: sys.config.max_cycles,
-            halted_threads: sys.threads.halted.iter().filter(|&&h| h).count(),
-            total_threads: sys.threads.len(),
-        });
+        return Err(watchdog(sys));
     }
     if let Some(token) = &sys.cancel {
         if token.load(Ordering::Relaxed) {
-            return Err(SimError::Cancelled { cycle: proc.time });
+            return Err(Box::new(SimError::Cancelled { cycle: proc.time }));
         }
     }
     Ok(())
 }
 
+/// The watchdog's `SimError`, built off the hot path.
+#[cold]
+#[inline(never)]
+fn watchdog(sys: &Sys) -> Box<SimError> {
+    Box::new(SimError::Watchdog {
+        max_cycles: sys.config.max_cycles,
+        halted_threads: sys.threads.halted.iter().filter(|&&h| h).count(),
+        total_threads: sys.threads.len(),
+    })
+}
+
 /// Thread `tid`'s program counter, checked against the end of the code.
 #[inline]
-fn checked_pc(sys: &Sys, tid: usize) -> Result<usize, SimError> {
+fn checked_pc(sys: &Sys, tid: usize) -> Res<usize> {
     let pc = sys.threads.cold[tid].pc as usize;
     if pc < sys.decoded.len() {
         return Ok(pc);
     }
-    Err(SimError::BadProgram {
+    Err(pc_past_end(tid, pc, sys.decoded.len()))
+}
+
+/// `BadProgram` for a program counter past the end of the code.
+#[cold]
+#[inline(never)]
+fn pc_past_end(tid: usize, pc: usize, len: usize) -> Box<SimError> {
+    Box::new(SimError::BadProgram {
         thread: tid,
         pc: pc as u64,
-        detail: format!(
-            "program counter ran past the end of the code ({} instructions)",
-            sys.decoded.len()
-        ),
+        detail: format!("program counter ran past the end of the code ({len} instructions)"),
     })
 }
 
@@ -969,10 +1029,17 @@ fn checked_pc(sys: &Sys, tid: usize) -> Result<usize, SimError> {
 /// then no live thread can ever store, fetch-add, or halt, so the words
 /// being waited on are frozen forever.
 #[inline]
-fn check_deadlock(sys: &mut Sys, now: u64) -> Result<(), SimError> {
+fn check_deadlock(sys: &mut Sys, now: u64) -> Res<()> {
     if !sys.counters.spin_confirm {
         return Ok(());
     }
+    deadlock_scan(sys, now)
+}
+
+/// The machine-wide scan behind [`check_deadlock`].
+#[cold]
+#[inline(never)]
+fn deadlock_scan(sys: &mut Sys, now: u64) -> Res<()> {
     sys.counters.spin_confirm = false;
     let ths = &sys.threads;
     let mut waiters = Vec::new();
@@ -995,7 +1062,7 @@ fn check_deadlock(sys: &mut Sys, now: u64) -> Result<(), SimError> {
     if waiters.is_empty() {
         return Ok(());
     }
-    Err(SimError::Deadlock { cycle: now, halted_threads: halted, waiters })
+    Err(Box::new(SimError::Deadlock { cycle: now, halted_threads: halted, waiters }))
 }
 
 /// Closes `tid`'s current run: its length since it was switched in goes
@@ -1020,6 +1087,7 @@ fn halt<R: Recorder>(sys: &mut Sys, proc: &mut Proc, p: usize, tid: usize, rec: 
 /// Switches the running thread out — paying the model's switch cost, if
 /// it has one — and rotates it to the back of the round-robin queue,
 /// runnable again at `wake`.
+#[inline]
 fn yield_thread<R: Recorder>(
     sys: &mut Sys,
     proc: &mut Proc,
@@ -1042,7 +1110,7 @@ fn yield_thread<R: Recorder>(
 }
 
 /// Issues a blocking shared read under the configured model.
-#[inline]
+#[inline(always)]
 fn read_dispatch(
     sys: &mut Sys,
     tid: usize,
@@ -1175,12 +1243,15 @@ fn assert_step_invariants(p: usize, proc: &Proc, ths: &Threads, config: &Machine
 
 /// Executes one *local-only* instruction ([`DInst::is_local_exec`]) on
 /// the current thread. This is the only implementation of those
-/// instructions: the fast path calls it directly, and [`exec`] falls
-/// through to it after its per-step preamble. Touches nothing but `th`;
-/// the caller has already done the shared accounting (`cost`,
-/// `pc += 1`, spin reset).
-#[inline(never)]
-fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Result<(), SimError> {
+/// instructions: the fast path inlines it into its loops, and [`exec`]
+/// falls through to it after its per-step preamble, by way of
+/// [`exec_local_outlined`]. Touches nothing but `th`'s registers and
+/// local memory; the caller has already done the shared accounting
+/// (`cost`, `pc += 1`, spin reset) and applies the control transfer:
+/// a taken branch or a jump returns its target, everything else `None`
+/// (fall through).
+#[inline(always)]
+fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Res<Option<Pc>> {
     match di.inst {
         Inst::Alu { op, rd, rs, rt } => {
             let v = alu(op, th.rget(rs), th.rget(rt));
@@ -1265,32 +1336,45 @@ fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Result<(), Si
                 BCond::Ge => a >= b,
             };
             if take {
-                th.pc = target.pc();
+                return Ok(Some(target.pc()));
             }
         }
-        Inst::Jump { target } => th.pc = target.pc(),
+        Inst::Jump { target } => return Ok(Some(target.pc())),
         Inst::Nop => {}
         // F_LOCAL_EXEC covers exactly the arms above (pinned by the
         // decode tests); `exec` handles everything else itself.
         _ => unreachable!("non-local instruction in exec_local: {:?}", di.inst),
     }
-    Ok(())
+    Ok(None)
 }
 
-/// Executes thread `tid`'s next instruction on processor `p`, advancing
+/// [`exec_local`] as one out-of-line copy for [`exec`]'s fall-through:
+/// the slow path reaches local instructions only when the fast path is
+/// off (recording, SwitchEveryCycle, `debug-invariants`), so only the
+/// fast path's loops carry an inlined body.
+#[inline(never)]
+fn exec_local_outlined(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Res<Option<Pc>> {
+    exec_local(di, th, tid, pc0)
+}
+
+/// Executes thread `tid`'s next instruction, `di` (the caller's decode
+/// of the instruction at the thread's pc), on processor `p`, advancing
 /// the processor clock. Per-step derived facts (cost, def/use masks,
 /// spin classification) come from the [`DInst`]; the shared-memory,
 /// priority and control instructions are handled here, and every
-/// local-only one by [`exec_local`].
+/// local-only one by [`exec_local`]. Inlined into both steppers, so a
+/// shared access costs no call and its arm shares the stepper's
+/// registers.
+#[inline(always)]
 fn exec<R: Recorder>(
     sys: &mut Sys,
     proc: &mut Proc,
     p: usize,
     tid: usize,
+    di: &DInst,
     rec: &mut R,
-) -> Result<Outcome, SimError> {
+) -> Res<Outcome> {
     let th = &mut sys.threads.cold[tid];
-    let di = sys.decoded.inst(th.pc as usize);
     let t0 = proc.time;
     let pc0 = th.pc;
     let c = di.cost as u64;
@@ -1539,7 +1623,9 @@ fn exec<R: Recorder>(
         Inst::Switch => Ok(switch_outcome(&sys.config, th, proc.time, &mut sys.counters)),
         Inst::Halt => Ok(Outcome::Halt),
         _ => {
-            exec_local(di, th, tid, pc0)?;
+            if let Some(target) = exec_local_outlined(di, th, tid, pc0)? {
+                th.pc = target;
+            }
             Ok(Outcome::Continue)
         }
     }
@@ -1551,6 +1637,7 @@ fn exec<R: Recorder>(
 /// cache hits are served locally — otherwise the configured constant),
 /// queue observation, reply time, the reply's latency sample and event,
 /// and the model's dispatch.
+#[inline(always)]
 fn shared_read<R: Recorder>(
     sys: &mut Sys,
     stats: &mut ProcStats,
@@ -1559,7 +1646,7 @@ fn shared_read<R: Recorder>(
     (cache_hit, oneline_hit): (bool, bool),
     dests: &[(bool, u8)],
     rec: &mut R,
-) -> Result<Outcome, SimError> {
+) -> Res<Outcome> {
     let shape = load_shape(sys.caches.is_some() && !a.spin, cache_hit, words, &sys.config);
     let q0 = net_queue_cycles::<R>(&sys.net);
     let base = match sys.net.as_mut() {
@@ -1595,25 +1682,34 @@ fn record(trace: &mut Option<Vec<TraceEvent>>, a: &Access, kind: TraceKind) {
 }
 
 /// `BadProgram` for a wild memory access.
-fn bad_access(tid: usize, pc: Pc, what: &str, addr: u64, len: u64) -> SimError {
-    SimError::BadProgram {
+#[cold]
+#[inline(never)]
+fn bad_access(tid: usize, pc: Pc, what: &str, addr: u64, len: u64) -> Box<SimError> {
+    Box::new(SimError::BadProgram {
         thread: tid,
         pc: pc as u64,
         detail: format!("{what} out of range: word {addr} >= {len}"),
-    }
+    })
 }
 
 /// Effective-address computation that turns a negative address into
 /// `BadProgram` instead of wrapping or panicking.
 #[inline]
-fn ea_checked(
+fn ea_checked(th: &Thread, tid: usize, pc: Pc, base: mtsim_isa::Reg, offset: i64) -> Res<u64> {
+    th.try_ea(base, offset).ok_or_else(|| negative_ea(th, tid, pc, base, offset))
+}
+
+/// `BadProgram` for a negative effective address.
+#[cold]
+#[inline(never)]
+fn negative_ea(
     th: &Thread,
     tid: usize,
     pc: Pc,
     base: mtsim_isa::Reg,
     offset: i64,
-) -> Result<u64, SimError> {
-    th.try_ea(base, offset).ok_or_else(|| SimError::BadProgram {
+) -> Box<SimError> {
+    Box::new(SimError::BadProgram {
         thread: tid,
         pc: pc as u64,
         detail: format!(
@@ -1625,20 +1721,14 @@ fn ea_checked(
 
 /// Checked local-memory load.
 #[inline]
-fn local_read_checked(th: &Thread, tid: usize, pc: Pc, addr: u64) -> Result<u64, SimError> {
+fn local_read_checked(th: &Thread, tid: usize, pc: Pc, addr: u64) -> Res<u64> {
     th.try_local_read(addr)
         .ok_or_else(|| bad_access(tid, pc, "local load", addr, th.local.len() as u64))
 }
 
 /// Checked local-memory store.
 #[inline]
-fn local_write_checked(
-    th: &mut Thread,
-    tid: usize,
-    pc: Pc,
-    addr: u64,
-    v: u64,
-) -> Result<(), SimError> {
+fn local_write_checked(th: &mut Thread, tid: usize, pc: Pc, addr: u64, v: u64) -> Res<()> {
     let len = th.local.len() as u64;
     th.try_local_write(addr, v).ok_or_else(|| bad_access(tid, pc, "local store", addr, len))
 }
@@ -1693,6 +1783,7 @@ fn load_shape(cached: bool, cache_hit: bool, words: u64, config: &MachineConfig)
 /// the value was already taken from shared memory in global order, so a
 /// request that survives its retries observes exactly what a fault-free
 /// run would have.
+#[inline(always)]
 fn reply_time<R: Recorder>(
     sys: &mut Sys,
     stats: &mut ProcStats,
@@ -1700,10 +1791,24 @@ fn reply_time<R: Recorder>(
     latency: u64,
     shape: MsgShape,
     rec: &mut R,
-) -> Result<u64, SimError> {
-    let Some(plan) = sys.fault.as_mut() else {
+) -> Res<u64> {
+    if sys.fault.is_none() {
         return Ok(a.t0 + latency);
-    };
+    }
+    faulted_reply_time(sys, stats, a, latency, shape, rec)
+}
+
+/// [`reply_time`] under fault injection: the retry protocol, out of line.
+#[inline(never)]
+fn faulted_reply_time<R: Recorder>(
+    sys: &mut Sys,
+    stats: &mut ProcStats,
+    a: &Access,
+    latency: u64,
+    shape: MsgShape,
+    rec: &mut R,
+) -> Res<u64> {
+    let plan = sys.fault.as_mut().expect("called only with fault injection active");
     match plan.request(latency) {
         Ok(out) => {
             if out.retries > 0 || out.timeouts > 0 || out.duplicates > 0 {
@@ -1735,14 +1840,14 @@ fn reply_time<R: Recorder>(
             stats.fault_wait += out.delay.saturating_sub(latency);
             Ok(a.t0 + out.delay)
         }
-        Err(e) => Err(SimError::Fault {
+        Err(e) => Err(Box::new(SimError::Fault {
             proc: a.p,
             thread: a.tid,
             pc: a.pc as u64,
             addr: a.addr,
             attempts: e.attempts,
             cycle: a.t0 + e.wasted,
-        }),
+        })),
     }
 }
 

@@ -360,15 +360,24 @@ impl Thread {
         int_use_mask: u32,
         fp_use_mask: u32,
     ) -> Option<u64> {
-        let before = self.pending.len();
-        self.pending.retain(|p| p.ready > now);
-        self.reaped_entries += (before - self.pending.len()) as u64;
+        // One read-only pass; the purge only runs when something arrived
+        // (this is asked on every instruction while reads are in flight).
         let mut needed: Option<u64> = None;
+        let mut arrived = false;
         for p in &self.pending {
+            if p.ready <= now {
+                arrived = true;
+                continue;
+            }
             let mask = if p.fp { fp_use_mask } else { int_use_mask };
             if (mask >> p.idx) & 1 != 0 {
                 needed = Some(needed.map_or(p.ready, |n| n.max(p.ready)));
             }
+        }
+        if arrived {
+            let before = self.pending.len();
+            self.pending.retain(|p| p.ready > now);
+            self.reaped_entries += (before - self.pending.len()) as u64;
         }
         needed
     }

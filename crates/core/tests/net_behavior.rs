@@ -108,3 +108,23 @@ fn offered_load_raises_modeled_latency() {
         l.mean_latency()
     );
 }
+
+#[test]
+fn max_size_networks_build_and_route() {
+    use mtsim_core::{Network, MAX_TOTAL_THREADS};
+    let last = MAX_TOTAL_THREADS - 1;
+    for t in [Topology::Mesh, Topology::Crossbar, Topology::Butterfly] {
+        let mut n = Network::new(NetworkConfig::new(t), MAX_TOTAL_THREADS, 200);
+        // From the last processor to module 0: corner to corner on the mesh.
+        let reply = n.round_trip(0, last, 0, 64, 96);
+        assert!(reply > 0, "{t}");
+        assert_eq!(n.stats().requests, 1, "{t}");
+    }
+    // A whole machine at the cap, one thread per processor, builds too.
+    for t in [Topology::Mesh, Topology::Crossbar] {
+        let cfg = MachineConfig::new(SwitchModel::SwitchOnLoad, MAX_TOTAL_THREADS, 1)
+            .with_net(NetworkConfig::new(t));
+        let prog = hotspot_kernel(1);
+        assert!(Machine::try_new(cfg, &prog, SharedMemory::new(64)).is_ok(), "{t}");
+    }
+}

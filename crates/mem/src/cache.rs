@@ -1,6 +1,8 @@
 //! Per-processor shared-data caches with directory invalidation, and the
 //! paper's §5.2 one-line grouping-estimator cache.
 
+use mtsim_net::AddrMap;
+
 /// Geometry of the per-processor shared-data cache.
 ///
 /// The paper's §6 text does not fully specify the geometry (see DESIGN.md);
@@ -123,10 +125,12 @@ impl Cache {
 #[derive(Debug, Clone)]
 pub struct CoherentCaches {
     params: CacheParams,
+    /// `log2(line_words)`: the line of a word address is one shift away.
+    line_shift: u32,
     caches: Vec<Cache>,
     stats: Vec<CacheStats>,
     /// Directory: for each resident line, the set of caching processors.
-    sharers: std::collections::HashMap<u64, u128>,
+    sharers: AddrMap<u128>,
 }
 
 impl CoherentCaches {
@@ -141,9 +145,10 @@ impl CoherentCaches {
         assert!(processors <= 128, "directory supports at most 128 processors");
         CoherentCaches {
             params,
+            line_shift: params.line_words.trailing_zeros(),
             caches: (0..processors).map(|_| Cache::new(params.lines)).collect(),
             stats: vec![CacheStats::default(); processors],
-            sharers: std::collections::HashMap::new(),
+            sharers: AddrMap::default(),
         }
     }
 
@@ -152,8 +157,11 @@ impl CoherentCaches {
         self.params
     }
 
+    /// The line holding word `addr` (`addr / line_words`; the line size
+    /// is a power of two).
+    #[inline]
     fn line_of(&self, addr: u64) -> u64 {
-        addr / self.params.line_words
+        addr >> self.line_shift
     }
 
     /// Looks up a load at `addr` by processor `proc`; fills the line on a
@@ -235,7 +243,8 @@ impl CoherentCaches {
 /// preceding reference and thus could have been grouped."
 #[derive(Debug, Clone)]
 pub struct OneLineCache {
-    line_words: u64,
+    /// `log2` of the (power-of-two) line size in words.
+    line_shift: u32,
     line: Option<u64>,
     hits: u64,
     accesses: u64,
@@ -256,14 +265,15 @@ impl OneLineCache {
     /// Panics if `line_words` is not a power of two.
     pub fn new(line_words: u64) -> OneLineCache {
         assert!(line_words.is_power_of_two(), "line words must be a power of two");
-        OneLineCache { line_words, line: None, hits: 0, accesses: 0 }
+        OneLineCache { line_shift: line_words.trailing_zeros(), line: None, hits: 0, accesses: 0 }
     }
 
     /// Records a shared-load access; returns `true` if it falls in the same
     /// aligned line as the previous access (i.e. could have been grouped).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        let line = addr / self.line_words;
+        let line = addr >> self.line_shift;
         let hit = self.line == Some(line);
         self.line = Some(line);
         if hit {
@@ -362,6 +372,24 @@ mod tests {
         assert_eq!(c.accesses(), 4);
         assert_eq!(c.hits(), 1);
         assert!((c.hit_rate() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shift_line_math_equals_division() {
+        let addrs = (0..300u64).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX]);
+        for shift in 0..=12u32 {
+            let line_words = 1u64 << shift;
+            let c = CoherentCaches::new(1, CacheParams { lines: 8, line_words });
+            let mut one = OneLineCache::new(line_words);
+            let mut prev: Option<u64> = None;
+            for a in addrs.clone() {
+                assert_eq!(c.line_of(a), a / line_words, "line_words {line_words}, addr {a}");
+                // The estimator hits exactly when the quotient repeats.
+                let hit = prev == Some(a / line_words);
+                assert_eq!(one.access(a), hit, "one-line, line_words {line_words}, addr {a}");
+                prev = Some(a / line_words);
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,40 @@ mod topology;
 pub use topology::Topology;
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by a word or line address, hashed by [`AddrHasher`].
+pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
+/// A multiplicative hasher for integer keys such as word and line
+/// addresses: one multiply per key instead of SipHash's rounds. The
+/// simulator's address maps are only probed, never iterated, so the hash
+/// cannot change a result. Their size is bounded by the machine (one
+/// entry per resident cache line or open combining window); a program
+/// that picks colliding addresses costs itself time, not correctness.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci hashing: the odd multiplier spreads sequential
+        // addresses over the high bits the table's control bytes use.
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Configuration for the interconnection network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +183,58 @@ struct CombineSlot {
     reply: u64,
 }
 
+/// A divisor whose power-of-two case divides by shifting and masking.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    pow2: bool,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Divisor {
+        Divisor { d, pow2: d.is_power_of_two() }
+    }
+
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        if self.pow2 {
+            x & (self.d - 1)
+        } else {
+            x % self.d
+        }
+    }
+
+    #[inline]
+    fn div_ceil(self, x: u64) -> u64 {
+        if self.pow2 {
+            (x >> self.d.trailing_zeros()) + u64::from(x & (self.d - 1) != 0)
+        } else {
+            x.div_ceil(self.d)
+        }
+    }
+}
+
+/// One message's progress along its path: the time it reaches the next
+/// link and the cycles it has queued so far.
+struct Leg {
+    t: u64,
+    queued: u64,
+    /// Serialization cycles per link.
+    ser: u64,
+    hop_latency: u64,
+}
+
+impl Leg {
+    /// Crosses `link`, waiting for it to drain first.
+    #[inline]
+    fn cross(&mut self, links: &mut [u64], link: usize) {
+        let begin = self.t.max(links[link]);
+        self.queued += begin - self.t;
+        links[link] = begin + self.ser;
+        self.t = begin + self.ser + self.hop_latency;
+    }
+}
+
 /// The simulated interconnection network.
 ///
 /// The engine issues shared accesses in global time order, so calls
@@ -159,17 +245,18 @@ pub struct Network {
     cfg: NetworkConfig,
     /// Constant round-trip latency used by the `Constant` topology.
     const_latency: u64,
-    modules: usize,
+    /// Memory modules; addresses interleave across them word by word.
+    modules: Divisor,
+    /// Link bandwidth in bits per cycle.
+    link_bw: Divisor,
     layout: topology::Layout,
     /// Per-link cycle at which the link next becomes free.
     links: Vec<u64>,
     /// Per-module cycle at which the module next becomes free.
     module_busy: Vec<u64>,
     /// Open combining windows by address.
-    combine: HashMap<u64, CombineSlot>,
+    combine: AddrMap<CombineSlot>,
     stats: NetStats,
-    /// Scratch path buffer, reused across messages.
-    path: Vec<usize>,
 }
 
 impl Network {
@@ -183,13 +270,13 @@ impl Network {
         Network {
             cfg,
             const_latency,
-            modules,
+            modules: Divisor::new(modules as u64),
+            link_bw: Divisor::new(cfg.link_bw),
             layout,
             links,
             module_busy: vec![0u64; modules],
-            combine: HashMap::new(),
+            combine: AddrMap::default(),
             stats: NetStats::default(),
-            path: Vec::new(),
         }
     }
 
@@ -199,22 +286,16 @@ impl Network {
     }
 
     /// Memory module serving `addr` (word-interleaved).
+    #[inline]
     fn module_of(&self, addr: u64) -> usize {
-        (addr % self.modules as u64) as usize
+        self.modules.rem(addr) as usize
     }
 
-    /// Sends `bits` along `path` starting at `t`, waiting out busy links.
-    /// Returns `(arrival, cycles_spent_queueing)`.
-    fn traverse(&mut self, mut t: u64, bits: u64, path: &[usize]) -> (u64, u64) {
-        let ser = bits.div_ceil(self.cfg.link_bw).max(1);
-        let mut queued = 0u64;
-        for &link in path {
-            let begin = t.max(self.links[link]);
-            queued += begin - t;
-            self.links[link] = begin + ser;
-            t = begin + ser + self.cfg.hop_latency;
-        }
-        (t, queued)
+    /// A message of `bits` bits leaving at `t`, before its first link.
+    #[inline]
+    fn leg(&self, t: u64, bits: u64) -> Leg {
+        let ser = self.link_bw.div_ceil(bits).max(1);
+        Leg { t, queued: 0, ser, hop_latency: self.cfg.hop_latency }
     }
 
     /// One full round trip: forward request, module service, reply.
@@ -234,22 +315,19 @@ impl Network {
         }
         let module = self.module_of(addr);
 
-        let mut path = std::mem::take(&mut self.path);
-        path.clear();
-        self.layout.forward_path(src, module, &mut path);
-        let (arrival, q_fwd) = self.traverse(t0, req_bits, &path);
+        let mut fwd = self.leg(t0, req_bits);
+        self.layout.forward(src, module, |link| fwd.cross(&mut self.links, link));
+        let arrival = fwd.t;
 
         let begin = arrival.max(self.module_busy[module]);
         let q_mem = begin - arrival;
         self.module_busy[module] = begin + self.cfg.mem_service;
         let depart = begin + self.cfg.mem_service;
 
-        path.clear();
-        self.layout.return_path(src, module, &mut path);
-        let (reply, q_ret) = self.traverse(depart, reply_bits, &path);
-        self.path = path;
+        let mut ret = self.leg(depart, reply_bits);
+        self.layout.back(src, module, |link| ret.cross(&mut self.links, link));
 
-        (reply, arrival, q_fwd + q_mem + q_ret)
+        (ret.t, arrival, fwd.queued + q_mem + ret.queued)
     }
 
     /// Records one completed round trip in the statistics.
@@ -446,6 +524,29 @@ mod tests {
         assert!(!NetworkConfig::constant().is_active());
         assert!(NetworkConfig::new(Topology::Mesh).is_active());
         assert!(NetworkConfig::constant().with_combining(true).is_active());
+    }
+
+    #[test]
+    fn divisor_matches_plain_division() {
+        let xs = (0..200u64).chain([u64::MAX / 7, u64::MAX - 1, u64::MAX]);
+        for d in (1..=40u64).chain([64, 96, 128, 1 << 20, 1 << 63]) {
+            let div = Divisor::new(d);
+            for x in xs.clone() {
+                assert_eq!(div.rem(x), x % d, "{x} % {d}");
+                assert_eq!(div.div_ceil(x), x.div_ceil(d), "{x} /^ {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn address_maps_hash_like_any_map() {
+        let mut m = AddrMap::default();
+        for a in (0..1000u64).map(|a| a * 4) {
+            *m.entry(a).or_insert(0u64) += a;
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.get(&400), Some(&400));
+        assert!(m.remove(&8).is_some() && !m.contains_key(&8));
     }
 
     #[test]

@@ -56,6 +56,14 @@ impl std::fmt::Display for Topology {
 }
 
 /// A materialized topology: link count plus routing.
+///
+/// The engine routes one message per shared access, so the hot path
+/// ([`Layout::forward`], [`Layout::back`]) walks a route with adds and
+/// compares only: no divisions and no path buffer. What that needs is
+/// precomputed here, in O(nodes + links) memory — the mesh keeps each
+/// node's grid coordinates; crossbar and butterfly routes are closed
+/// forms. The straightforward [`Layout::forward_path`] and
+/// [`Layout::return_path`] builders stay as the tests' oracle.
 #[derive(Debug, Clone)]
 pub(crate) enum Layout {
     /// No links; round trips take the configured constant.
@@ -65,7 +73,8 @@ pub(crate) enum Layout {
     Crossbar { procs: usize, modules: usize },
     /// `w × h` grid of routers, four directed grid links per node plus
     /// four NIC links (processor inject/eject, module inject/eject).
-    Mesh { w: usize, h: usize },
+    /// `xy[node]` is the node's `(x, y)` grid position.
+    Mesh { w: usize, h: usize, xy: Box<[(u32, u32)]> },
     /// `stages` ranks of `rows` exit links forward, a mirrored set back.
     Butterfly { rows: usize, stages: usize },
 }
@@ -81,7 +90,8 @@ impl Layout {
                 let n = procs.max(modules).max(1);
                 let w = (n as f64).sqrt().ceil() as usize;
                 let h = n.div_ceil(w);
-                Layout::Mesh { w, h }
+                let xy = (0..w * h).map(|node| ((node % w) as u32, (node / w) as u32)).collect();
+                Layout::Mesh { w, h, xy }
             }
             Topology::Butterfly => {
                 let rows = procs.max(modules).max(2).next_power_of_two();
@@ -96,13 +106,62 @@ impl Layout {
             Layout::Constant => 0,
             Layout::Crossbar { procs, modules } => 2 * procs + 2 * modules,
             // Four grid links plus four NIC links per node.
-            Layout::Mesh { w, h } => w * h * 8,
+            Layout::Mesh { w, h, .. } => w * h * 8,
             Layout::Butterfly { rows, stages } => 2 * rows * stages,
         }
     }
 
+    /// Calls `hop` on each link of the forward (request) path from
+    /// processor `src` to memory module `module`, in order. `src` must be
+    /// a processor and `module` a module of this layout; the links are
+    /// exactly [`Layout::forward_path`]'s.
+    #[inline]
+    pub(crate) fn forward(&self, src: usize, module: usize, mut hop: impl FnMut(usize)) {
+        match *self {
+            Layout::Constant => {}
+            Layout::Crossbar { procs, .. } => {
+                hop(src);
+                hop(procs + module);
+            }
+            Layout::Mesh { w, h, ref xy } => {
+                let nodes = w * h;
+                hop(nic(nodes, src, 0)); // processor inject
+                mesh_walk(w, xy, src, module, &mut hop);
+                hop(nic(nodes, module, 1)); // module eject
+            }
+            Layout::Butterfly { rows, stages } => {
+                butterfly_route(rows, stages, src, module, 0, hop);
+            }
+        }
+    }
+
+    /// Calls `hop` on each link of the return (reply) path from `module`
+    /// back to `src`, in order: exactly [`Layout::return_path`]'s links.
+    #[inline]
+    pub(crate) fn back(&self, src: usize, module: usize, mut hop: impl FnMut(usize)) {
+        match *self {
+            Layout::Constant => {}
+            Layout::Crossbar { procs, modules } => {
+                hop(procs + modules + module);
+                hop(procs + 2 * modules + src);
+            }
+            Layout::Mesh { w, h, ref xy } => {
+                let nodes = w * h;
+                hop(nic(nodes, module, 2)); // module inject
+                mesh_walk(w, xy, module, src, &mut hop);
+                hop(nic(nodes, src, 3)); // processor eject
+            }
+            Layout::Butterfly { rows, stages } => {
+                // The reply crosses a mirrored return butterfly.
+                butterfly_route(rows, stages, module, src, rows * stages, hop);
+            }
+        }
+    }
+
     /// Appends the forward (request) path from processor `src` to memory
-    /// module `module` onto `out`.
+    /// module `module` onto `out`: the reference routing [`Layout::forward`]
+    /// is tested against.
+    #[cfg(test)]
     pub(crate) fn forward_path(&self, src: usize, module: usize, out: &mut Vec<usize>) {
         match *self {
             Layout::Constant => {}
@@ -110,7 +169,7 @@ impl Layout {
                 out.push(src);
                 out.push(procs + module);
             }
-            Layout::Mesh { w, h } => {
+            Layout::Mesh { w, h, .. } => {
                 let nodes = w * h;
                 let (a, b) = (src % nodes, module % nodes);
                 out.push(nic(nodes, a, 0)); // processor inject
@@ -118,12 +177,14 @@ impl Layout {
                 out.push(nic(nodes, b, 1)); // module eject
             }
             Layout::Butterfly { rows, stages } => {
-                butterfly_route(rows, stages, src % rows, module % rows, 0, out);
+                butterfly_route(rows, stages, src % rows, module % rows, 0, |l| out.push(l));
             }
         }
     }
 
-    /// Appends the return (reply) path from `module` back to `src`.
+    /// Appends the return (reply) path from `module` back to `src`: the
+    /// reference routing [`Layout::back`] is tested against.
+    #[cfg(test)]
     pub(crate) fn return_path(&self, src: usize, module: usize, out: &mut Vec<usize>) {
         match *self {
             Layout::Constant => {}
@@ -131,7 +192,7 @@ impl Layout {
                 out.push(procs + modules + module);
                 out.push(procs + 2 * modules + src);
             }
-            Layout::Mesh { w, h } => {
+            Layout::Mesh { w, h, .. } => {
                 let nodes = w * h;
                 let (a, b) = (src % nodes, module % nodes);
                 out.push(nic(nodes, b, 2)); // module inject
@@ -139,8 +200,8 @@ impl Layout {
                 out.push(nic(nodes, a, 3)); // processor eject
             }
             Layout::Butterfly { rows, stages } => {
-                // The reply crosses a mirrored return butterfly.
-                butterfly_route(rows, stages, module % rows, src % rows, rows * stages, out);
+                let base = rows * stages;
+                butterfly_route(rows, stages, module % rows, src % rows, base, |l| out.push(l));
             }
         }
     }
@@ -148,12 +209,46 @@ impl Layout {
 
 /// NIC link id: `kind` 0 = proc inject, 1 = module eject, 2 = module
 /// inject, 3 = proc eject. Grid links occupy ids `0..nodes*4`.
+#[inline]
 fn nic(nodes: usize, node: usize, kind: usize) -> usize {
     nodes * 4 + node * 4 + kind
 }
 
+/// Dimension-order walk from node `from` to node `to`: X first, then Y,
+/// one directed grid link per hop (`node*4 + dir`; dir 0 = +X, 1 = -X,
+/// 2 = +Y, 3 = -Y). Positions come from the precomputed `xy` table, and
+/// a hop moves the node index by ±1 (X) or ±`w` (Y).
+#[inline]
+fn mesh_walk(w: usize, xy: &[(u32, u32)], from: usize, to: usize, hop: &mut impl FnMut(usize)) {
+    let ((fx, fy), (tx, ty)) = (xy[from], xy[to]);
+    let mut node = from;
+    if tx >= fx {
+        for _ in fx..tx {
+            hop(node * 4);
+            node += 1;
+        }
+    } else {
+        for _ in tx..fx {
+            hop(node * 4 + 1);
+            node -= 1;
+        }
+    }
+    if ty >= fy {
+        for _ in fy..ty {
+            hop(node * 4 + 2);
+            node += w;
+        }
+    } else {
+        for _ in ty..fy {
+            hop(node * 4 + 3);
+            node -= w;
+        }
+    }
+}
+
 /// Dimension-order route: X first, then Y. Pushes one directed grid link
 /// per hop (`node*4 + dir`; dir 0 = +X, 1 = -X, 2 = +Y, 3 = -Y).
+#[cfg(test)]
 fn mesh_route(w: usize, from: usize, to: usize, out: &mut Vec<usize>) {
     let (mut x, mut y) = (from % w, from / w);
     let (bx, by) = (to % w, to / w);
@@ -173,18 +268,19 @@ fn mesh_route(w: usize, from: usize, to: usize, out: &mut Vec<usize>) {
 /// stage `k` the top `k+1` address bits are the destination's, so two
 /// messages bound for one row share every late-stage link (the hot-spot
 /// tree). `base` selects the forward or mirrored return link set.
+#[inline]
 fn butterfly_route(
     rows: usize,
     stages: usize,
     from: usize,
     to: usize,
     base: usize,
-    out: &mut Vec<usize>,
+    mut hop: impl FnMut(usize),
 ) {
     for k in 0..stages {
         let low_mask = (1usize << (stages - 1 - k)) - 1;
         let row = (to & !low_mask) | (from & low_mask);
-        out.push(base + k * rows + row);
+        hop(base + k * rows + row);
     }
 }
 
@@ -245,6 +341,41 @@ mod tests {
         assert_eq!(f.last(), g.last());
         // Forward and return sets are disjoint.
         assert!(f.iter().all(|id| !r.contains(id)));
+    }
+
+    /// The hot-path walks against the oracle builders, link for link.
+    fn assert_walks_match(t: Topology, procs: usize, modules: usize) {
+        let l = Layout::new(t, procs, modules);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for src in 0..procs {
+            for module in 0..modules {
+                got.clear();
+                want.clear();
+                l.forward(src, module, |link| got.push(link));
+                l.forward_path(src, module, &mut want);
+                assert_eq!(got, want, "{t} P={procs} M={modules}: forward {src} -> {module}");
+                got.clear();
+                want.clear();
+                l.back(src, module, |link| got.push(link));
+                l.return_path(src, module, &mut want);
+                assert_eq!(got, want, "{t} P={procs} M={modules}: return {module} -> {src}");
+                assert!(got.iter().all(|&id| id < l.link_count()));
+            }
+        }
+    }
+
+    #[test]
+    fn hot_path_routes_match_the_oracle() {
+        let sizes = (1..=20usize).chain([64, 128]);
+        for t in [Topology::Crossbar, Topology::Mesh, Topology::Butterfly] {
+            for procs in sizes.clone() {
+                // One module per processor, and counts that are not P:
+                // fewer, more, odd and non-square.
+                for modules in [procs, 1, procs.div_ceil(2), procs + 1, 2 * procs + 3] {
+                    assert_walks_match(t, procs, modules);
+                }
+            }
+        }
     }
 
     #[test]
