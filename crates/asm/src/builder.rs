@@ -6,14 +6,17 @@
 //! `mtsim-opt` post-pass, exactly as in the paper where a separate
 //! post-processor rewrites `-O2` object code.
 
-use crate::expr::{Cond, FExpr, IExpr};
+use crate::expr::{Addr, Cond, FExpr, IExpr};
 use crate::layout::LocalFrame;
 use crate::program::{LabelTable, Program};
 use mtsim_isa::{AccessHint, AluOp, FReg, Inst, LabelId, Pc, Reg, Space};
 
 /// Handle to an integer variable declared with [`ProgramBuilder::def_i`].
 ///
-/// Variables live in registers for their enclosing scope.
+/// Variables live in registers for their enclosing scope. The handle holds
+/// the variable's serial number: declarations are numbered in order, and a
+/// number is never reused, so a handle that outlived its scope is always
+/// recognized as dead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IVar(usize);
 
@@ -48,37 +51,36 @@ impl From<FVar> for FExpr {
     }
 }
 
-#[derive(Debug)]
-struct IVarSlot {
-    name: String,
-    reg: Reg,
-    alive: bool,
-}
-
-#[derive(Debug)]
-struct FVarSlot {
-    name: String,
-    reg: FReg,
-    alive: bool,
-}
-
 /// Structured builder producing a [`Program`].
 ///
 /// See the crate docs for an example. Scoped constructs (`if_`, `while_`,
 /// `for_range`) free the registers of variables declared inside their
 /// bodies when the body ends.
+///
+/// Building allocates nothing per statement or per variable: live
+/// variables sit on two stacks that scopes truncate, a scope is a pair of
+/// stack marks, and names are appended to one buffer. Only the output
+/// vectors and that buffer grow, by amortized doubling.
 #[derive(Debug)]
 pub struct ProgramBuilder {
     name: String,
     insts: Vec<Inst>,
     labels: LabelTable,
-    ivars: Vec<IVarSlot>,
-    fvars: Vec<FVarSlot>,
+    /// Live integer variables as `(serial, register)`, in declaration
+    /// order (so ascending serials); the innermost scope's are on top.
+    ivars: Vec<(usize, Reg)>,
+    fvars: Vec<(usize, FReg)>,
+    /// Every variable name ever declared, each ended by a NUL, in serial
+    /// order. Read only to name a dead variable in a panic message.
+    names: String,
+    /// Serial number of the next declared variable (integer or float).
+    next_serial: usize,
     int_pool: std::collections::VecDeque<Reg>,
     fp_pool: std::collections::VecDeque<FReg>,
     temps_i: Vec<Reg>,
     temps_f: Vec<FReg>,
-    scopes: Vec<(Vec<usize>, Vec<usize>)>,
+    /// Each open scope's `(ivars.len(), fvars.len())` at its start.
+    scopes: Vec<(usize, usize)>,
     local: LocalFrame,
 }
 
@@ -96,11 +98,13 @@ impl ProgramBuilder {
             labels: LabelTable::default(),
             ivars: Vec::new(),
             fvars: Vec::new(),
+            names: String::new(),
+            next_serial: 0,
             int_pool,
             fp_pool,
             temps_i: Vec::new(),
             temps_f: Vec::new(),
-            scopes: vec![(Vec::new(), Vec::new())],
+            scopes: vec![(0, 0)],
             local: LocalFrame::new(),
         }
     }
@@ -131,34 +135,34 @@ impl ProgramBuilder {
 
     /// Shared-memory integer load expression.
     pub fn load_shared(&self, addr: impl Into<IExpr>) -> IExpr {
-        IExpr::LoadShared(Box::new(addr.into()), AccessHint::Data)
+        IExpr::LoadShared(Addr::from(addr.into()), AccessHint::Data)
     }
 
     /// Shared-memory integer load with an explicit [`AccessHint`] (used by
     /// the runtime to tag spin-loop traffic).
     pub fn load_shared_hint(&self, addr: impl Into<IExpr>, hint: AccessHint) -> IExpr {
-        IExpr::LoadShared(Box::new(addr.into()), hint)
+        IExpr::LoadShared(Addr::from(addr.into()), hint)
     }
 
     /// Shared-memory float load expression.
     pub fn load_shared_f(&self, addr: impl Into<IExpr>) -> FExpr {
-        FExpr::LoadShared(Box::new(addr.into()))
+        FExpr::LoadShared(Addr::from(addr.into()))
     }
 
     /// Local-memory integer load expression.
     pub fn load_local(&self, addr: impl Into<IExpr>) -> IExpr {
-        IExpr::LoadLocal(Box::new(addr.into()))
+        IExpr::LoadLocal(Addr::from(addr.into()))
     }
 
     /// Local-memory float load expression.
     pub fn load_local_f(&self, addr: impl Into<IExpr>) -> FExpr {
-        FExpr::LoadLocal(Box::new(addr.into()))
+        FExpr::LoadLocal(Addr::from(addr.into()))
     }
 
     /// Atomic fetch-and-add expression: evaluates to the pre-increment
     /// value of the shared word.
     pub fn fetch_add(&self, addr: impl Into<IExpr>, inc: impl Into<IExpr>) -> IExpr {
-        IExpr::FetchAdd(Box::new(addr.into()), Box::new(inc.into()), AccessHint::Data)
+        IExpr::FetchAdd(Addr::from(addr.into()), Box::new(inc.into()), AccessHint::Data)
     }
 
     /// Fetch-and-add tagged with an [`AccessHint`].
@@ -168,7 +172,7 @@ impl ProgramBuilder {
         inc: impl Into<IExpr>,
         hint: AccessHint,
     ) -> IExpr {
-        IExpr::FetchAdd(Box::new(addr.into()), Box::new(inc.into()), hint)
+        IExpr::FetchAdd(Addr::from(addr.into()), Box::new(inc.into()), hint)
     }
 
     // ------------------------------------------------------------------
@@ -183,17 +187,7 @@ impl ProgramBuilder {
     /// Panics if the integer register pool is exhausted (restructure the
     /// program to use local-memory arrays).
     pub fn def_i(&mut self, name: &str, init: impl Into<IExpr>) -> IVar {
-        let reg = self
-            .int_pool
-            .pop_back()
-            .unwrap_or_else(|| panic!("{}: out of integer registers at var '{name}'", self.name));
-        let idx = self.ivars.len();
-        self.ivars.push(IVarSlot { name: name.to_string(), reg, alive: true });
-        self.scopes.last_mut().expect("scope stack empty").0.push(idx);
-        let e = init.into();
-        self.eval_i(&e, Some(reg));
-        self.reset_temps();
-        IVar(idx)
+        self.define_i(&[name], init.into())
     }
 
     /// Declares a float variable initialized to `init`.
@@ -202,17 +196,10 @@ impl ProgramBuilder {
     ///
     /// Panics if the FP register pool is exhausted.
     pub fn def_f(&mut self, name: &str, init: impl Into<FExpr>) -> FVar {
-        let reg = self
-            .fp_pool
-            .pop_back()
-            .unwrap_or_else(|| panic!("{}: out of fp registers at var '{name}'", self.name));
-        let idx = self.fvars.len();
-        self.fvars.push(FVarSlot { name: name.to_string(), reg, alive: true });
-        self.scopes.last_mut().expect("scope stack empty").1.push(idx);
-        let e = init.into();
-        self.eval_f(&e, Some(reg));
+        let (var, reg) = self.alloc_fvar(&[name]);
+        self.eval_f(&init.into(), Some(reg));
         self.reset_temps();
-        FVar(idx)
+        var
     }
 
     /// Reassigns an integer variable.
@@ -249,8 +236,7 @@ impl ProgramBuilder {
     ) {
         let v = value.into();
         let rs = self.eval_i(&v, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::Store { space: Space::Shared, rs, base, offset, hint });
         self.reset_temps();
     }
@@ -259,8 +245,7 @@ impl ProgramBuilder {
     pub fn store_shared_f(&mut self, addr: impl Into<IExpr>, value: impl Into<FExpr>) {
         let v = value.into();
         let fs = self.eval_f(&v, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::FStore { space: Space::Shared, fs, base, offset });
         self.reset_temps();
     }
@@ -269,8 +254,7 @@ impl ProgramBuilder {
     pub fn store_local(&mut self, addr: impl Into<IExpr>, value: impl Into<IExpr>) {
         let v = value.into();
         let rs = self.eval_i(&v, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::Store {
             space: Space::Local,
             rs,
@@ -285,8 +269,7 @@ impl ProgramBuilder {
     pub fn store_local_f(&mut self, addr: impl Into<IExpr>, value: impl Into<FExpr>) {
         let v = value.into();
         let fs = self.eval_f(&v, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::FStore { space: Space::Local, fs, base, offset });
         self.reset_temps();
     }
@@ -294,12 +277,9 @@ impl ProgramBuilder {
     /// Loads two adjacent shared words with a single Load-Double message
     /// into two fresh float variables (paper §3's Load-Double).
     pub fn load_pair_shared_f(&mut self, name: &str, addr: impl Into<IExpr>) -> (FVar, FVar) {
-        let v1 = self.alloc_fvar(&format!("{name}.0"));
-        let v2 = self.alloc_fvar(&format!("{name}.1"));
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
-        let fd1 = self.fvar_reg(v1.0);
-        let fd2 = self.fvar_reg(v2.0);
+        let (v1, fd1) = self.alloc_fvar(&[name, ".0"]);
+        let (v2, fd2) = self.alloc_fvar(&[name, ".1"]);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::LoadPair { space: Space::Shared, fd1, fd2, base, offset });
         self.reset_temps();
         (v1, v2)
@@ -317,8 +297,7 @@ impl ProgramBuilder {
         let e2 = v2.into();
         let fs1 = self.eval_f(&e1, None);
         let fs2 = self.eval_f(&e2, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::StorePair { space: Space::Shared, fs1, fs2, base, offset });
         self.reset_temps();
     }
@@ -334,8 +313,7 @@ impl ProgramBuilder {
     ) {
         let i = inc.into();
         let rs = self.eval_i(&i, None);
-        let a = addr.into();
-        let (base, offset) = self.eval_addr(&a);
+        let (base, offset) = self.eval_addr(&Addr::from(addr.into()));
         self.insts.push(Inst::FetchAdd { rd: Reg::ZERO, rs, base, offset, hint });
         self.reset_temps();
     }
@@ -461,7 +439,7 @@ impl ProgramBuilder {
         assert!(step > 0, "for_range_step requires a positive step");
         self.push_scope();
         let i = self.def_i(name, lo);
-        let limit = self.def_i(&format!("_{name}_limit"), hi);
+        let limit = self.define_i(&["_", name, "_limit"], hi.into());
         let head = self.fresh_label();
         let end = self.fresh_label();
         self.place_label(head);
@@ -516,21 +494,21 @@ impl ProgramBuilder {
     // ------------------------------------------------------------------
 
     fn push_scope(&mut self) {
-        self.scopes.push((Vec::new(), Vec::new()));
+        self.scopes.push((self.ivars.len(), self.fvars.len()));
     }
 
+    /// Frees the innermost scope's variables, returning their registers
+    /// to the pools in declaration order.
     fn pop_scope(&mut self) {
-        let (ivs, fvs) = self.scopes.pop().expect("scope underflow");
-        for idx in ivs {
-            let slot = &mut self.ivars[idx];
-            slot.alive = false;
-            self.int_pool.push_back(slot.reg);
+        let (i0, f0) = self.scopes.pop().expect("scope underflow");
+        for &(_, reg) in &self.ivars[i0..] {
+            self.int_pool.push_back(reg);
         }
-        for idx in fvs {
-            let slot = &mut self.fvars[idx];
-            slot.alive = false;
-            self.fp_pool.push_back(slot.reg);
+        self.ivars.truncate(i0);
+        for &(_, reg) in &self.fvars[f0..] {
+            self.fp_pool.push_back(reg);
         }
+        self.fvars.truncate(f0);
     }
 
     /// Runs `f` in a fresh variable scope: variables it declares release
@@ -542,27 +520,59 @@ impl ProgramBuilder {
         self.pop_scope();
     }
 
-    fn alloc_fvar(&mut self, name: &str) -> FVar {
-        let reg = self
-            .fp_pool
-            .pop_back()
-            .unwrap_or_else(|| panic!("{}: out of fp registers at var '{name}'", self.name));
-        let idx = self.fvars.len();
-        self.fvars.push(FVarSlot { name: name.to_string(), reg, alive: true });
-        self.scopes.last_mut().expect("scope stack empty").1.push(idx);
-        FVar(idx)
+    /// Declares a variable in the current scope named by the
+    /// concatenation of `name`, returning its serial number.
+    fn declare(&mut self, name: &[&str]) -> usize {
+        for part in name {
+            self.names.push_str(part);
+        }
+        self.names.push('\0');
+        self.next_serial += 1;
+        self.next_serial - 1
     }
 
-    fn ivar_reg(&self, idx: usize) -> Reg {
-        let slot = &self.ivars[idx];
-        assert!(slot.alive, "use of dead variable '{}' (out of scope)", slot.name);
-        slot.reg
+    /// Declares an integer variable and evaluates `init` into it.
+    fn define_i(&mut self, name: &[&str], init: IExpr) -> IVar {
+        let reg = self.int_pool.pop_back().unwrap_or_else(|| {
+            panic!("{}: out of integer registers at var '{}'", self.name, name.concat())
+        });
+        let serial = self.declare(name);
+        self.ivars.push((serial, reg));
+        self.eval_i(&init, Some(reg));
+        self.reset_temps();
+        IVar(serial)
     }
 
-    fn fvar_reg(&self, idx: usize) -> FReg {
-        let slot = &self.fvars[idx];
-        assert!(slot.alive, "use of dead fp variable '{}' (out of scope)", slot.name);
-        slot.reg
+    fn alloc_fvar(&mut self, name: &[&str]) -> (FVar, FReg) {
+        let reg = self.fp_pool.pop_back().unwrap_or_else(|| {
+            panic!("{}: out of fp registers at var '{}'", self.name, name.concat())
+        });
+        let serial = self.declare(name);
+        self.fvars.push((serial, reg));
+        (FVar(serial), reg)
+    }
+
+    /// The name variable `serial` was declared with.
+    fn var_name(&self, serial: usize) -> &str {
+        self.names.split('\0').nth(serial).expect("a declared variable")
+    }
+
+    fn ivar_reg(&self, serial: usize) -> Reg {
+        match self.ivars.binary_search_by_key(&serial, |&(s, _)| s) {
+            Ok(pos) => self.ivars[pos].1,
+            Err(_) => {
+                panic!("use of dead variable '{}' (out of scope)", self.var_name(serial))
+            }
+        }
+    }
+
+    fn fvar_reg(&self, serial: usize) -> FReg {
+        match self.fvars.binary_search_by_key(&serial, |&(s, _)| s) {
+            Ok(pos) => self.fvars[pos].1,
+            Err(_) => {
+                panic!("use of dead fp variable '{}' (out of scope)", self.var_name(serial))
+            }
+        }
     }
 
     fn temp_i(&mut self) -> Reg {
@@ -784,32 +794,11 @@ impl ProgramBuilder {
         }
     }
 
-    /// Evaluates an address expression into `(base, offset)`, folding a
-    /// trailing constant into the offset field.
-    fn eval_addr(&mut self, e: &IExpr) -> (Reg, i64) {
-        match e {
-            IExpr::Const(v) => (Reg::ZERO, *v),
-            IExpr::Bin(AluOp::Add, a, b) => {
-                if let IExpr::Const(k) = **b {
-                    let base = self.eval_i(a, None);
-                    (base, k)
-                } else if let IExpr::Const(k) = **a {
-                    let base = self.eval_i(b, None);
-                    (base, k)
-                } else {
-                    (self.eval_i(e, None), 0)
-                }
-            }
-            IExpr::Bin(AluOp::Sub, a, b) => {
-                if let IExpr::Const(k) = **b {
-                    let base = self.eval_i(a, None);
-                    (base, -k)
-                } else {
-                    (self.eval_i(e, None), 0)
-                }
-            }
-            _ => (self.eval_i(e, None), 0),
-        }
+    /// Evaluates an address's register part, returning the instruction's
+    /// `(base, offset)` fields.
+    fn eval_addr(&mut self, addr: &Addr) -> (Reg, i64) {
+        let (base, offset) = addr.parts();
+        (base.map_or(Reg::ZERO, |b| self.eval_i(b, None)), offset)
     }
 }
 
@@ -911,6 +900,31 @@ mod tests {
         });
         let v = escaped.unwrap();
         b.store_local(b.const_i(0), v.get());
+    }
+
+    #[test]
+    #[should_panic(expected = "use of dead variable 'dead' (out of scope)")]
+    fn a_dead_handle_stays_dead_when_its_register_is_reused() {
+        let mut b = ProgramBuilder::new("t");
+        let mut escaped = None;
+        b.if_(b.tid().eq(0), |b| {
+            escaped = Some(b.def_i("dead", 1));
+        });
+        // Takes the register the dead variable held.
+        let live = b.def_i("live", 2);
+        b.store_local(b.const_i(0), live.get());
+        b.store_local(b.const_i(1), escaped.unwrap().get());
+    }
+
+    #[test]
+    #[should_panic(expected = "use of dead fp variable 'pos.1' (out of scope)")]
+    fn a_dead_pair_half_is_named() {
+        let mut b = ProgramBuilder::new("t");
+        let mut escaped = None;
+        b.scoped(|b| {
+            escaped = Some(b.load_pair_shared_f("pos", b.const_i(40)).1);
+        });
+        b.store_shared_f(b.const_i(50), escaped.unwrap().get());
     }
 
     #[test]

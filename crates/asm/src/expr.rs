@@ -2,7 +2,8 @@
 //!
 //! Integer expressions ([`IExpr`]) and floating-point expressions
 //! ([`FExpr`]) support the usual operators via `std::ops` overloads, plus
-//! explicit loads from the two memory spaces and fetch-and-add. Conditions
+//! explicit loads from the two memory spaces and fetch-and-add, each at an
+//! [`Addr`]. Conditions
 //! ([`Cond`]) compare two integer expressions with a branch condition and
 //! are consumed by `if_`/`while_`.
 
@@ -22,11 +23,11 @@ pub enum IExpr {
     /// Binary ALU operation.
     Bin(AluOp, Box<IExpr>, Box<IExpr>),
     /// Load from local (private) memory at the given word address.
-    LoadLocal(Box<IExpr>),
+    LoadLocal(Addr),
     /// Load from shared memory at the given word address.
-    LoadShared(Box<IExpr>, AccessHint),
+    LoadShared(Addr, AccessHint),
     /// Atomic fetch-and-add at a shared word address: yields the old value.
-    FetchAdd(Box<IExpr>, Box<IExpr>, AccessHint),
+    FetchAdd(Addr, Box<IExpr>, AccessHint),
     /// Truncating conversion from a float expression.
     FromF(Box<FExpr>),
     /// Floating-point comparison yielding 0 or 1.
@@ -43,13 +44,59 @@ pub enum FExpr {
     /// Binary FP operation.
     Bin(FpuOp, Box<FExpr>, Box<FExpr>),
     /// Load from local memory.
-    LoadLocal(Box<IExpr>),
+    LoadLocal(Addr),
     /// Load from shared memory.
-    LoadShared(Box<IExpr>),
+    LoadShared(Addr),
     /// Conversion from an integer expression.
     FromI(Box<IExpr>),
     /// Square root.
     Sqrt(Box<FExpr>),
+}
+
+/// A word address, `base + offset`: the address expression with its
+/// constant part folded into the offset field when the expression is
+/// built, the way a load or store instruction encodes it. A constant
+/// address holds no heap node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Addr {
+    /// The register part; `None` for a constant address (base `r0`).
+    base: Option<Box<IExpr>>,
+    offset: i64,
+}
+
+impl Addr {
+    /// The register part of the address and its constant offset.
+    pub(crate) fn parts(&self) -> (Option<&IExpr>, i64) {
+        (self.base.as_deref(), self.offset)
+    }
+}
+
+impl From<IExpr> for Addr {
+    /// Folds a constant address, or a trailing constant of a sum or
+    /// difference, into the offset.
+    fn from(e: IExpr) -> Addr {
+        let (base, offset) = match e {
+            IExpr::Const(v) => (None, v),
+            IExpr::Bin(AluOp::Add, a, b) => {
+                if let IExpr::Const(k) = *b {
+                    (Some(a), k)
+                } else if let IExpr::Const(k) = *a {
+                    (Some(b), k)
+                } else {
+                    (Some(Box::new(IExpr::Bin(AluOp::Add, a, b))), 0)
+                }
+            }
+            IExpr::Bin(AluOp::Sub, a, b) => {
+                if let IExpr::Const(k) = *b {
+                    (Some(a), -k)
+                } else {
+                    (Some(Box::new(IExpr::Bin(AluOp::Sub, a, b))), 0)
+                }
+            }
+            e => (Some(Box::new(e)), 0),
+        };
+        Addr { base, offset }
+    }
 }
 
 /// A branch condition: `lhs op rhs` over integer expressions.

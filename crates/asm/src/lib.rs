@@ -36,7 +36,7 @@ mod parse;
 mod program;
 
 pub use builder::{FVar, IVar, ProgramBuilder};
-pub use expr::{Cond, FExpr, IExpr};
+pub use expr::{Addr, Cond, FExpr, IExpr};
 pub use layout::{LocalFrame, SharedLayout};
 pub use parse::{parse_program, ParseAsmError};
 pub use program::Program;

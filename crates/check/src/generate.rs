@@ -270,11 +270,11 @@ fn lower_ie(e: &IE, ctx: &EmitCtx) -> IExpr {
         IE::Bin(op, a, b) => {
             IExpr::Bin(*op, Box::new(lower_ie(a, ctx)), Box::new(lower_ie(b, ctx)))
         }
-        IE::LoadIn(idx) => IExpr::LoadShared(Box::new(ctx.in_addr(idx)), AccessHint::Data),
-        IE::LoadOut(slot) => IExpr::LoadShared(Box::new(ctx.out_addr(*slot)), AccessHint::Data),
-        IE::LoadLocal(a) => IExpr::LoadLocal(Box::new(IExpr::Const(*a as i64))),
+        IE::LoadIn(idx) => IExpr::LoadShared(ctx.in_addr(idx).into(), AccessHint::Data),
+        IE::LoadOut(slot) => IExpr::LoadShared(ctx.out_addr(*slot).into(), AccessHint::Data),
+        IE::LoadLocal(a) => IExpr::LoadLocal(IExpr::Const(*a as i64).into()),
         IE::FetchAddOut(slot, k) => IExpr::FetchAdd(
-            Box::new(ctx.out_addr(*slot)),
+            ctx.out_addr(*slot).into(),
             Box::new(IExpr::Const(*k)),
             AccessHint::Data,
         ),
@@ -292,8 +292,8 @@ fn lower_fe(e: &FE, ctx: &EmitCtx) -> FExpr {
         FE::Bin(op, a, b) => {
             FExpr::Bin(*op, Box::new(lower_fe(a, ctx)), Box::new(lower_fe(b, ctx)))
         }
-        FE::LoadIn(idx) => FExpr::LoadShared(Box::new(ctx.in_addr(idx))),
-        FE::LoadLocal(a) => FExpr::LoadLocal(Box::new(IExpr::Const(*a as i64))),
+        FE::LoadIn(idx) => FExpr::LoadShared(ctx.in_addr(idx).into()),
+        FE::LoadLocal(a) => FExpr::LoadLocal(IExpr::Const(*a as i64).into()),
         FE::FromI(i) => FExpr::FromI(Box::new(lower_ie(i, ctx))),
         FE::Sqrt(f) => FExpr::Sqrt(Box::new(lower_fe(f, ctx))),
     }

@@ -15,10 +15,12 @@
 //!   spin-periodicity proof?) as flags,
 //!
 //! while keeping the original `Inst` payload inline for the semantic
-//! dispatch. Decoding is pure derivation: every field is computed from
-//! the `Inst` via the same `mtsim-isa` queries the engine used to call
-//! per step, so the decoded form cannot drift from the ISA — a property
-//! the unit tests below pin across every instruction shape.
+//! dispatch. Decoding is pure derivation in one pass: a single match per
+//! instruction yields every field, each equal to the `mtsim-isa` query
+//! it stands for (`cost::cycles`, `use_mask`, `def_mask`, `int_def`,
+//! `is_shared_access`) — a property the unit tests below pin across
+//! every instruction shape, so the decoded form cannot drift from the
+//! ISA.
 //!
 //! The table is stored behind an `Arc`, so cloning a [`DecodedProgram`]
 //! (per machine build, per sweep job) is a reference-count bump.
@@ -26,7 +28,7 @@
 use std::sync::Arc;
 
 use mtsim_asm::Program;
-use mtsim_isa::{cost, Inst, Space};
+use mtsim_isa::{cost, FReg, Inst, Reg, Space};
 
 /// `flags` bit: the instruction touches shared memory (enters the
 /// network / can trigger a context switch), i.e. `Inst::is_shared_access`.
@@ -77,72 +79,75 @@ pub struct DInst {
 }
 
 impl DInst {
-    /// Decodes one instruction. Every field is derived through the
-    /// `mtsim-isa` queries, so this cannot disagree with them.
+    /// Decodes one instruction with a single match over its shape. Each
+    /// field equals the `mtsim-isa` query it stands for (`cost::cycles`,
+    /// `use_mask`, `def_mask`, `int_def`, `is_shared_access`), which the
+    /// drift tests below pin for every shape.
     pub fn decode(inst: Inst) -> DInst {
-        // The ISA masks hold integer registers in the low 32 bits and FP
-        // registers in the high 32; split them into the per-file fields.
-        let uses = inst.use_mask();
-        let defs = inst.def_mask();
-        let int_use_mask = uses as u32;
-        let fp_use_mask = (uses >> 32) as u32;
-        let fp_def_mask = (defs >> 32) as u32;
-        let int_def = inst.int_def().map_or(0, |r| r.index() as u8);
-        let resets_spin = matches!(
-            inst,
-            Inst::Store { .. }
-                | Inst::FStore { .. }
-                | Inst::StorePair { .. }
-                | Inst::FetchAdd { .. }
-                | Inst::SetPrio { .. }
-        );
+        // Register-mask bits: one per register, `r0` never (it is
+        // hardwired zero, so neither a real use nor a real def).
+        let ib = |r: Reg| if r.is_zero() { 0 } else { 1u32 << r.index() };
+        let fb = |f: FReg| 1u32 << f.index();
         // The local-only set mirrors the `exec` arms that touch nothing
         // but `th` and return `Outcome::Continue` unconditionally:
         // register/FPU ops, local-space memory ops, and control flow.
         // Everything shared-space, switching, halting, or cross-thread
         // (SetPrio writes the scheduler's priority array) is excluded.
-        let local_exec = matches!(
-            inst,
-            Inst::Alu { .. }
-                | Inst::AluI { .. }
-                | Inst::Fpu { .. }
-                | Inst::FpuCmp { .. }
-                | Inst::FLi { .. }
-                | Inst::CvtIF { .. }
-                | Inst::CvtFI { .. }
-                | Inst::MovIF { .. }
-                | Inst::MovFI { .. }
-                | Inst::FSqrt { .. }
-                | Inst::Load { space: Space::Local, .. }
-                | Inst::Store { space: Space::Local, .. }
-                | Inst::FLoad { space: Space::Local, .. }
-                | Inst::FStore { space: Space::Local, .. }
-                | Inst::LoadPair { space: Space::Local, .. }
-                | Inst::StorePair { space: Space::Local, .. }
-                | Inst::Branch { .. }
-                | Inst::Jump { .. }
-                | Inst::Nop
-        );
-        let mut flags = 0u8;
-        if inst.is_shared_access() {
-            flags |= F_SHARED_ACCESS;
-        }
-        if resets_spin {
-            flags |= F_RESETS_SPIN;
-        }
-        if local_exec {
-            flags |= F_LOCAL_EXEC;
-            if !matches!(inst, Inst::Branch { .. } | Inst::Jump { .. }) {
-                flags |= F_STRAIGHT;
+        const LOCAL: u8 = F_LOCAL_EXEC | F_STRAIGHT;
+        // A memory op is local-only in local space and a shared access
+        // in shared space.
+        let mem = |space: Space| if space.is_shared() { F_SHARED_ACCESS } else { LOCAL };
+        // Columns: cost, int uses, fp uses, fp defs, int def, flags.
+        // Stores, fetch-and-add and priority changes reset the spin proof.
+        let (cost, int_use_mask, fp_use_mask, fp_def_mask, int_def, flags) = match inst {
+            Inst::Alu { op, rd, rs, rt } => {
+                (cost::alu_cycles(op), ib(rs) | ib(rt), 0, 0, rd, LOCAL)
             }
-        }
+            Inst::AluI { op, rd, rs, .. } => (cost::alu_cycles(op), ib(rs), 0, 0, rd, LOCAL),
+            Inst::Fpu { op, fd, fs, ft } => {
+                (cost::fpu_cycles(op), 0, fb(fs) | fb(ft), fb(fd), Reg::ZERO, LOCAL)
+            }
+            Inst::FpuCmp { rd, fs, ft, .. } => {
+                (cost::FP_ADD_CYCLES, 0, fb(fs) | fb(ft), 0, rd, LOCAL)
+            }
+            Inst::FLi { fd, .. } => (1, 0, 0, fb(fd), Reg::ZERO, LOCAL),
+            Inst::CvtIF { fd, rs } => (cost::FP_ADD_CYCLES, ib(rs), 0, fb(fd), Reg::ZERO, LOCAL),
+            Inst::CvtFI { rd, fs } => (cost::FP_ADD_CYCLES, 0, fb(fs), 0, rd, LOCAL),
+            Inst::MovIF { fd, rs } => (1, ib(rs), 0, fb(fd), Reg::ZERO, LOCAL),
+            Inst::MovFI { rd, fs } => (1, 0, fb(fs), 0, rd, LOCAL),
+            Inst::FSqrt { fd, fs } => (cost::FP_SQRT_CYCLES, 0, fb(fs), fb(fd), Reg::ZERO, LOCAL),
+            Inst::Load { space, rd, base, .. } => (1, ib(base), 0, 0, rd, mem(space)),
+            Inst::Store { space, rs, base, .. } => {
+                (1, ib(rs) | ib(base), 0, 0, Reg::ZERO, mem(space) | F_RESETS_SPIN)
+            }
+            Inst::FLoad { space, fd, base, .. } => (1, ib(base), 0, fb(fd), Reg::ZERO, mem(space)),
+            Inst::FStore { space, fs, base, .. } => {
+                (1, ib(base), fb(fs), 0, Reg::ZERO, mem(space) | F_RESETS_SPIN)
+            }
+            Inst::LoadPair { space, fd1, fd2, base, .. } => {
+                (1, ib(base), 0, fb(fd1) | fb(fd2), Reg::ZERO, mem(space))
+            }
+            Inst::StorePair { space, fs1, fs2, base, .. } => {
+                (1, ib(base), fb(fs1) | fb(fs2), 0, Reg::ZERO, mem(space) | F_RESETS_SPIN)
+            }
+            Inst::FetchAdd { rd, rs, base, .. } => {
+                (1, ib(rs) | ib(base), 0, 0, rd, F_SHARED_ACCESS | F_RESETS_SPIN)
+            }
+            // Control flow is local-only but redirects the pc.
+            Inst::Branch { rs, rt, .. } => (1, ib(rs) | ib(rt), 0, 0, Reg::ZERO, F_LOCAL_EXEC),
+            Inst::Jump { .. } => (1, 0, 0, 0, Reg::ZERO, F_LOCAL_EXEC),
+            Inst::SetPrio { .. } => (1, 0, 0, 0, Reg::ZERO, F_RESETS_SPIN),
+            Inst::Switch | Inst::Halt => (1, 0, 0, 0, Reg::ZERO, 0),
+            Inst::Nop => (1, 0, 0, 0, Reg::ZERO, LOCAL),
+        };
         DInst {
             inst,
-            cost: cost::cycles(&inst),
+            cost,
             int_use_mask,
             fp_use_mask,
             fp_def_mask,
-            int_def,
+            // `r0` encodes "no integer def".
+            int_def: int_def.index() as u8,
             flags,
             run: 0,
         }

@@ -29,19 +29,31 @@ pub const FP_SQRT_CYCLES: u32 = 30;
 /// units use the constants above.
 pub fn cycles(inst: &Inst) -> u32 {
     match inst {
-        Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
-            AluOp::Mul => MUL_CYCLES,
-            AluOp::Div | AluOp::Rem => DIV_CYCLES,
-            _ => 1,
-        },
-        Inst::Fpu { op, .. } => match op {
-            FpuOp::Add | FpuOp::Sub | FpuOp::Min | FpuOp::Max => FP_ADD_CYCLES,
-            FpuOp::Mul => FP_MUL_CYCLES,
-            FpuOp::Div => FP_DIV_CYCLES,
-        },
+        Inst::Alu { op, .. } | Inst::AluI { op, .. } => alu_cycles(*op),
+        Inst::Fpu { op, .. } => fpu_cycles(*op),
         Inst::FpuCmp { .. } | Inst::CvtIF { .. } | Inst::CvtFI { .. } => FP_ADD_CYCLES,
         Inst::FSqrt { .. } => FP_SQRT_CYCLES,
         _ => 1,
+    }
+}
+
+/// Occupancy cost of an integer ALU operation (either operand form).
+#[inline]
+pub fn alu_cycles(op: AluOp) -> u32 {
+    match op {
+        AluOp::Mul => MUL_CYCLES,
+        AluOp::Div | AluOp::Rem => DIV_CYCLES,
+        _ => 1,
+    }
+}
+
+/// Occupancy cost of an FP arithmetic operation.
+#[inline]
+pub fn fpu_cycles(op: FpuOp) -> u32 {
+    match op {
+        FpuOp::Add | FpuOp::Sub | FpuOp::Min | FpuOp::Max => FP_ADD_CYCLES,
+        FpuOp::Mul => FP_MUL_CYCLES,
+        FpuOp::Div => FP_DIV_CYCLES,
     }
 }
 

@@ -2,11 +2,10 @@
 //! shared loads are issued together, then inserts one `Switch` per group.
 
 use crate::blocks::basic_blocks;
-use crate::dag::{is_blocking_read, Dag, Edge};
+use crate::dag::{is_blocking_read, Dag};
 use mtsim_asm::Program;
 use mtsim_isa::{Inst, Pc, Target};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Statistics produced by [`group_shared_loads`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,22 +59,28 @@ pub struct GroupingResult {
 /// Panics if `prog` already contains `Switch` instructions (the pass
 /// expects compiler-natural input and is not idempotent).
 pub fn group_shared_loads(prog: &Program) -> GroupingResult {
-    assert_eq!(prog.switch_count(), 0, "grouping pass expects a switch-free input program");
-
     let blocks = basic_blocks(prog);
     let mut out: Vec<Inst> = Vec::with_capacity(prog.len() + prog.len() / 4);
     let mut stats = GroupStats { blocks: blocks.len(), ..GroupStats::default() };
     // Old pc -> new pc, filled for block leaders only.
     let mut leader_pc: Vec<Option<Pc>> = vec![None; prog.len()];
+    // Where each block's branch or jump landed: only a block's terminator
+    // can name a target.
+    let mut branches: Vec<usize> = Vec::with_capacity(blocks.len());
+    let mut scheduler = Scheduler::default();
 
     for range in &blocks {
         leader_pc[range.start] = Some(out.len() as Pc);
         let insts = &prog.insts()[range.clone()];
-        schedule_block(insts, &mut out, &mut stats);
+        scheduler.schedule_block(insts, &mut out, &mut stats);
+        if out.last().is_some_and(|t| t.target().is_some()) {
+            branches.push(out.len() - 1);
+        }
     }
 
     // Rewrite branch targets to the new leader positions.
-    for inst in &mut out {
+    for &at in &branches {
+        let inst = &mut out[at];
         if let Some(Target::Pc(old)) = inst.target() {
             let new = leader_pc
                 .get(old as usize)
@@ -93,129 +98,213 @@ pub fn group_shared_loads(prog: &Program) -> GroupingResult {
     }
 }
 
-/// The ready sets of one block's list schedule. A node is *ready* once
-/// every predecessor has been emitted and every value it needs has
-/// completed. Ready nodes wait in two min-heaps keyed by their index in the
-/// block, so a pop yields the lowest-index ready candidate; each node
-/// enters a heap exactly once, when its last unsatisfied edge is released.
-struct Ready<'a> {
-    body: &'a [Inst],
-    unemitted_preds: Vec<usize>,
-    uncompleted_needs: Vec<usize>,
-    reads: BinaryHeap<Reverse<usize>>,
-    others: BinaryHeap<Reverse<usize>>,
+/// A set of node indices that yields its lowest member: a 64-ary tree of
+/// bit words, leaf words first and one root word last, where a bit is set
+/// iff the word below it is non-empty. Insert and pop touch one word per
+/// level (three levels cover a 262,144-instruction block), and the words
+/// are reused from block to block.
+#[derive(Default)]
+struct MinSet {
+    levels: Vec<Vec<u64>>,
+    /// Levels in use for the current block.
+    depth: usize,
 }
 
-impl<'a> Ready<'a> {
-    fn new(body: &'a [Inst], preds: Vec<usize>, completion_preds: Vec<usize>) -> Ready<'a> {
-        let mut ready = Ready {
-            body,
-            unemitted_preds: preds,
-            uncompleted_needs: completion_preds,
-            reads: BinaryHeap::new(),
-            others: BinaryHeap::new(),
-        };
+impl MinSet {
+    /// Empties the set and sizes it for indices below `n`.
+    fn reset(&mut self, n: usize) {
+        let mut words = n.div_ceil(64).max(1);
+        self.depth = 0;
+        loop {
+            if self.levels.len() == self.depth {
+                self.levels.push(Vec::new());
+            }
+            let level = &mut self.levels[self.depth];
+            level.clear();
+            level.resize(words, 0);
+            self.depth += 1;
+            if words == 1 {
+                break;
+            }
+            words = words.div_ceil(64);
+        }
+    }
+
+    fn insert(&mut self, i: u32) {
+        let mut i = i as usize;
+        for level in &mut self.levels[..self.depth] {
+            let word = &mut level[i / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                break; // the levels above already mark this word
+            }
+            i /= 64;
+        }
+    }
+
+    /// Removes and returns the lowest member.
+    fn pop_min(&mut self) -> Option<u32> {
+        let levels = &mut self.levels[..self.depth];
+        if levels[levels.len() - 1][0] == 0 {
+            return None;
+        }
+        let mut i = 0;
+        for level in levels.iter().rev() {
+            i = i * 64 + level[i].trailing_zeros() as usize;
+        }
+        let mut j = i;
+        for level in levels.iter_mut() {
+            let word = &mut level[j / 64];
+            *word &= !(1 << (j % 64));
+            if *word != 0 {
+                break;
+            }
+            j /= 64;
+        }
+        Some(i as u32)
+    }
+}
+
+/// The ready sets of one block's list schedule. A node is *ready* once
+/// every predecessor has been emitted and every value it needs has
+/// completed. Ready nodes wait in two [`MinSet`]s of their indices in the
+/// block, so a pop yields the lowest-index ready candidate; each node
+/// enters a set exactly once, when its last unsatisfied edge is released.
+#[derive(Default)]
+struct Ready {
+    unemitted_preds: Vec<usize>,
+    uncompleted_needs: Vec<usize>,
+    reads: MinSet,
+    others: MinSet,
+}
+
+impl Ready {
+    /// Starts the schedule of `body` from its DAG's edge counts.
+    fn reset(&mut self, body: &[Inst], dag: &Dag) {
+        self.reads.reset(body.len());
+        self.others.reset(body.len());
+        self.unemitted_preds.clear();
+        self.unemitted_preds.extend_from_slice(&dag.preds);
+        self.uncompleted_needs.clear();
+        self.uncompleted_needs.extend_from_slice(&dag.completion_preds);
         // Every completion edge is also counted in `preds`, so a node with
         // no predecessors needs nothing either.
         for i in 0..body.len() {
-            if ready.unemitted_preds[i] == 0 {
-                ready.enqueue(i);
+            if self.unemitted_preds[i] == 0 {
+                self.enqueue(body, i as u32);
             }
         }
-        ready
     }
 
-    fn enqueue(&mut self, i: usize) {
-        if is_blocking_read(&self.body[i]) {
-            self.reads.push(Reverse(i));
+    fn enqueue(&mut self, body: &[Inst], i: u32) {
+        if is_blocking_read(&body[i as usize]) {
+            self.reads.insert(i);
         } else {
-            self.others.push(Reverse(i));
+            self.others.insert(i);
         }
     }
 
     /// Releases one incoming edge of `to`: its source was emitted
     /// (`issued`) and/or the source's value completed (`completed`).
-    fn release(&mut self, to: usize, issued: bool, completed: bool) {
+    fn release(&mut self, body: &[Inst], to: u32, issued: bool, completed: bool) {
+        let t = to as usize;
         if issued {
-            self.unemitted_preds[to] -= 1;
+            self.unemitted_preds[t] -= 1;
         }
         if completed {
-            self.uncompleted_needs[to] -= 1;
+            self.uncompleted_needs[t] -= 1;
         }
-        if self.unemitted_preds[to] == 0 && self.uncompleted_needs[to] == 0 {
-            self.enqueue(to);
+        if self.unemitted_preds[t] == 0 && self.uncompleted_needs[t] == 0 {
+            self.enqueue(body, to);
         }
     }
 }
 
-fn schedule_block(insts: &[Inst], out: &mut Vec<Inst>, stats: &mut GroupStats) {
-    let (body, terminator) = match insts.last() {
-        Some(t) if t.is_control() => (&insts[..insts.len() - 1], Some(*t)),
-        _ => (insts, None),
-    };
-
-    if !body.iter().any(is_blocking_read) {
-        // Nothing to group: keep the block untouched (zero penalty).
-        out.extend_from_slice(insts);
-        return;
-    }
-
-    let n = body.len();
-    let Dag { succs, preds, completion_preds } = Dag::build(body);
-    let mut ready = Ready::new(body, preds, completion_preds);
-    let mut pending: Vec<usize> = Vec::new();
-    let mut emitted_count = 0usize;
-
-    while emitted_count < n {
-        if let Some(Reverse(i)) = ready.reads.pop() {
-            // 1. Issue every ready blocking read first (opens / extends the
-            //    group); completion deps stay blocked until the Switch.
-            out.push(body[i]);
-            pending.push(i);
-            for e in &succs[i] {
-                ready.release(e.to, true, false);
-            }
-        } else if let Some(Reverse(i)) = ready.others.pop() {
-            // 2. Emit the lowest-index ready non-read instruction.
-            out.push(body[i]);
-            for e in &succs[i] {
-                ready.release(e.to, true, e.needs_completion);
-            }
-        } else {
-            // 3. Stuck on pending values: close the group with a Switch.
-            assert!(!pending.is_empty(), "dependency cycle in basic block");
-            close_group(&succs, &mut ready, &mut pending, out, stats);
-            continue;
-        }
-        emitted_count += 1;
-    }
-
-    // Loads still in flight at block end: close the group before leaving
-    // the block (intra-block analysis cannot see uses in successor blocks).
-    if !pending.is_empty() {
-        close_group(&succs, &mut ready, &mut pending, out, stats);
-    }
-
-    if let Some(t) = terminator {
-        out.push(t);
-    }
+/// The list scheduler. One is reused for every block of a program, so
+/// the DAG, the ready sets and the open group allocate only when a block
+/// outgrows every earlier one.
+#[derive(Default)]
+struct Scheduler {
+    dag: Dag,
+    ready: Ready,
+    /// Blocking reads issued into the open group.
+    pending: Vec<u32>,
 }
 
-fn close_group(
-    succs: &[Vec<Edge>],
-    ready: &mut Ready<'_>,
-    pending: &mut Vec<usize>,
-    out: &mut Vec<Inst>,
-    stats: &mut GroupStats,
-) {
-    out.push(Inst::Switch);
-    stats.switches_inserted += 1;
-    stats.grouped_loads += pending.len();
-    *stats.group_sizes.entry(pending.len()).or_insert(0) += 1;
-    for p in pending.drain(..) {
-        for e in &succs[p] {
-            if e.needs_completion {
-                ready.release(e.to, false, true);
+impl Scheduler {
+    fn schedule_block(&mut self, insts: &[Inst], out: &mut Vec<Inst>, stats: &mut GroupStats) {
+        let (body, terminator) = match insts.last() {
+            Some(t) if t.is_control() => (&insts[..insts.len() - 1], Some(*t)),
+            _ => (insts, None),
+        };
+
+        let mut blocking_reads = false;
+        for inst in body {
+            assert!(
+                !matches!(inst, Inst::Switch),
+                "grouping pass expects a switch-free input program"
+            );
+            blocking_reads |= is_blocking_read(inst);
+        }
+        if !blocking_reads {
+            // Nothing to group: keep the block untouched (zero penalty).
+            out.extend_from_slice(insts);
+            return;
+        }
+
+        let n = body.len();
+        self.dag.build(body);
+        self.ready.reset(body, &self.dag);
+        let mut emitted_count = 0usize;
+
+        while emitted_count < n {
+            if let Some(i) = self.ready.reads.pop_min() {
+                // 1. Issue every ready blocking read first (opens / extends
+                //    the group); completion deps stay blocked until the
+                //    Switch.
+                out.push(body[i as usize]);
+                self.pending.push(i);
+                for e in self.dag.succs(i as usize) {
+                    self.ready.release(body, e.to, true, false);
+                }
+            } else if let Some(i) = self.ready.others.pop_min() {
+                // 2. Emit the lowest-index ready non-read instruction.
+                out.push(body[i as usize]);
+                for e in self.dag.succs(i as usize) {
+                    self.ready.release(body, e.to, true, e.needs_completion);
+                }
+            } else {
+                // 3. Stuck on pending values: close the group with a Switch.
+                assert!(!self.pending.is_empty(), "dependency cycle in basic block");
+                self.close_group(body, out, stats);
+                continue;
+            }
+            emitted_count += 1;
+        }
+
+        // Loads still in flight at block end: close the group before leaving
+        // the block (intra-block analysis cannot see uses in successor
+        // blocks).
+        if !self.pending.is_empty() {
+            self.close_group(body, out, stats);
+        }
+
+        if let Some(t) = terminator {
+            out.push(t);
+        }
+    }
+
+    fn close_group(&mut self, body: &[Inst], out: &mut Vec<Inst>, stats: &mut GroupStats) {
+        out.push(Inst::Switch);
+        stats.switches_inserted += 1;
+        stats.grouped_loads += self.pending.len();
+        *stats.group_sizes.entry(self.pending.len()).or_insert(0) += 1;
+        for p in self.pending.drain(..) {
+            for e in self.dag.succs(p as usize) {
+                if e.needs_completion {
+                    self.ready.release(body, e.to, false, true);
+                }
             }
         }
     }
@@ -225,6 +314,30 @@ fn close_group(
 mod tests {
     use super::*;
     use mtsim_asm::ProgramBuilder;
+
+    #[test]
+    fn min_set_pops_in_index_order_at_every_depth() {
+        let mut set = MinSet::default();
+        // One, two and three levels of words, reusing the same set.
+        for n in [5usize, 64, 65, 4096, 4097, 300_000] {
+            set.reset(n);
+            assert_eq!(set.pop_min(), None);
+            // A scattered insertion order, with pops interleaved.
+            let mut want = std::collections::BTreeSet::new();
+            let members = (0..n as u32).rev().filter(|i| i % 7 == 3 || i % 64 == 63);
+            for (k, i) in members.enumerate() {
+                set.insert(i);
+                want.insert(i);
+                if k % 5 == 0 {
+                    assert_eq!(set.pop_min(), want.pop_first(), "n = {n}");
+                }
+            }
+            while let Some(i) = want.pop_first() {
+                assert_eq!(set.pop_min(), Some(i), "n = {n}");
+            }
+            assert_eq!(set.pop_min(), None);
+        }
+    }
 
     /// Builds the paper's Figure 4 sor inner-loop flavor: 5 shared loads
     /// combined into one result.

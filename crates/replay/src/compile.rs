@@ -3,7 +3,6 @@
 use mtsim_asm::{Program, ProgramBuilder};
 use mtsim_isa::{AccessHint, Inst};
 use mtsim_mem::{SharedMemory, TraceEvent, TraceKind};
-use std::collections::BTreeMap;
 
 /// Upper bound on the word address a trace may touch. Trace addresses are
 /// used directly as shared-memory word addresses (no remapping — pair
@@ -149,30 +148,66 @@ pub fn compile(events: &[TraceEvent]) -> Result<TraceProgram, ReplayError> {
         max_word = max_word.max(last);
     }
 
-    // Bucket per thread; BTreeMap gives the dense mapping (sorted unique
-    // ids → block order) for free.
-    let mut by_thread: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    // Dense thread ids: the distinct ids in sorted order. A trace has few
+    // threads, so a sorted list with binary search beats a map; the usual
+    // ids `0..n` are found by indexing.
+    let mut ids: Vec<u32> = Vec::new();
+    for e in events {
+        if ids.get(e.thread as usize) == Some(&e.thread) {
+            continue;
+        }
+        if let Err(pos) = ids.binary_search(&e.thread) {
+            if ids.len() == MAX_THREADS {
+                let mut all: Vec<u32> = events.iter().map(|e| e.thread).collect();
+                all.sort_unstable();
+                all.dedup();
+                return Err(ReplayError::TooManyThreads { count: all.len(), max: MAX_THREADS });
+            }
+            ids.insert(pos, e.thread);
+        }
+    }
+    let ids_are_dense = ids.last().is_none_or(|&last| last as usize + 1 == ids.len());
+    let dense = |e: &TraceEvent| {
+        if ids_are_dense {
+            e.thread as usize
+        } else {
+            ids.binary_search(&e.thread).expect("a collected id")
+        }
+    };
+    // Bucket the event indices by dense thread, in input order (a
+    // counting sort), then order each thread's events by time (traces are
+    // usually globally time-sorted, but nothing guarantees it); ties keep
+    // input order.
+    let mut starts = vec![0usize; ids.len() + 1];
+    for e in events {
+        starts[dense(e) + 1] += 1;
+    }
+    for t in 0..ids.len() {
+        starts[t + 1] += starts[t];
+    }
+    let mut order = vec![0usize; events.len()];
+    let mut cursor = starts.clone();
     for (i, e) in events.iter().enumerate() {
-        by_thread.entry(e.thread).or_default().push(i);
+        let slot = &mut cursor[dense(e)];
+        order[*slot] = i;
+        *slot += 1;
     }
-    if by_thread.len() > MAX_THREADS {
-        return Err(ReplayError::TooManyThreads { count: by_thread.len(), max: MAX_THREADS });
+    for w in starts.windows(2) {
+        let idxs = &mut order[w[0]..w[1]];
+        if !idxs.is_sorted_by_key(|&i| events[i].time) {
+            idxs.sort_by_key(|&i| events[i].time);
+        }
     }
-    // Replay in event-time order within each thread (traces are usually
-    // globally time-sorted, but nothing guarantees it); ties keep input
-    // order.
-    for idxs in by_thread.values_mut() {
-        idxs.sort_by_key(|&i| events[i].time);
-    }
+    let threads: Vec<&[usize]> = starts.windows(2).map(|w| &order[w[0]..w[1]]).collect();
 
     let shared_words = max_word + 1;
     let mut expected = vec![0u64; shared_words as usize];
     let mut updates: u64 = 0;
 
     let mut b = ProgramBuilder::new("replay");
-    for (dense, idxs) in by_thread.values().enumerate() {
+    for (dense, idxs) in threads.iter().enumerate() {
         b.if_(b.tid().eq(dense as i64), |b| {
-            for &i in idxs {
+            for &i in *idxs {
                 let e = &events[i];
                 match e.kind {
                     // Loads go into scope-local scratch registers (freed
@@ -208,7 +243,7 @@ pub fn compile(events: &[TraceEvent]) -> Result<TraceProgram, ReplayError> {
 
     Ok(TraceProgram {
         program: b.finish(),
-        nthreads: by_thread.len().max(1),
+        nthreads: threads.len().max(1),
         shared_words,
         events: events.len(),
         expected,
