@@ -187,6 +187,15 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
     v.parse().unwrap_or_else(|_| bad_usage(&format!("bad value '{v}' for --{flag}")))
 }
 
+/// Parses a probability flag: a number in [0, 1] (NaN is refused).
+fn parse_fraction(flag: &str, v: &str) -> f64 {
+    let r: f64 = parse_num(flag, v);
+    if !(0.0..=1.0).contains(&r) {
+        bad_usage(&format!("--{flag} {v} is outside [0, 1]"));
+    }
+    r
+}
+
 /// Unwraps a typed flag-parse result, mapping [`FlagError`] to the usage
 /// exit path (stderr + exit code 2).
 fn flag_or_die<T>(r: Result<T, FlagError>) -> T {
@@ -927,10 +936,10 @@ fn cmd_replay(args: &Args) {
                 sc.addr_words = parse_num("addr-words", v);
             }
             if let Some(v) = args.get("locality") {
-                sc.locality = parse_num("locality", v);
+                sc.locality = parse_fraction("locality", v);
             }
             if let Some(v) = args.get("sharing") {
-                sc.sharing = parse_num("sharing", v);
+                sc.sharing = parse_fraction("sharing", v);
             }
             if sc.threads.saturating_mul(sc.events_per_thread) > mtsim_replay::MAX_SYNTH_EVENTS {
                 bad_usage(&format!(

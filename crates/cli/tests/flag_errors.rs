@@ -2,7 +2,8 @@
 //! structured flag (`--latency-dist`, `--net`, `--link-bw`) exits with
 //! code 2 and names the flag, the offending value, and the accepted
 //! grammar on stderr; a size past a cap (threads, latency, replay
-//! events) exits 2 and names the cap.
+//! events) exits 2 and names the cap; a replay probability outside
+//! [0, 1] exits 2 and names the flag and the range.
 
 use std::process::{Command, Output};
 
@@ -281,6 +282,26 @@ fn replay_trace_file_round_trips_and_sizes_the_machine() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("trace line 1"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replay_probabilities_outside_the_unit_interval_are_usage_errors() {
+    for flag in ["--locality", "--sharing"] {
+        for bad in ["7", "-0.5", "1.01", "NaN", "inf"] {
+            let name = &flag[2..];
+            assert_usage_error(
+                &["replay", "--synth", "1", "-p", "1", "-t", "1", flag, bad],
+                &[&format!("--{name} {bad} is outside [0, 1]")],
+            );
+        }
+        // The bounds themselves are valid.
+        for ok in ["0", "1"] {
+            let out = mtsim(&[
+                "replay", "--synth", "1", "-p", "1", "-t", "1", "--events", "20", flag, ok,
+            ]);
+            assert_eq!(out.status.code(), Some(0), "{flag} {ok}: {out:?}");
+        }
+    }
 }
 
 #[test]
