@@ -2,10 +2,13 @@
 //! and the paper's efficiency metric.
 
 use std::borrow::Cow;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use mtsim_asm::Program;
 use mtsim_core::{
-    Machine, MachineConfig, NoopRecorder, Recorder, RunResult, SimError, SwitchModel,
+    DecodedProgram, Machine, MachineConfig, MachineScratch, NoopRecorder, Recorder, RunResult,
+    SimError, SwitchModel,
 };
 use mtsim_mem::SharedMemory;
 use mtsim_opt::{group_shared_loads, GroupStats};
@@ -123,19 +126,42 @@ pub fn program_for(program: &Program, model: SwitchModel) -> Cow<'_, Program> {
 
 /// Runs `program` — an image of `app`, e.g. from [`program_for`] — on
 /// `app`'s input under `cfg` with `rec` attached, and verifies the
-/// result.
+/// result. A thin wrapper over [`run_decoded`] that decodes the image
+/// itself and runs without a cancel token.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Sim`] for any typed simulator error (fault
-/// exhaustion, deadlock, watchdog, bad program, bad config — including a
-/// thread-count mismatch between the app image and `cfg`) and
-/// [`RunError::Verify`] when the final memory image fails the host check.
+/// Same contract as [`run_decoded`].
 pub fn run_program<R: Recorder>(
     app: &BuiltApp,
     program: &Program,
     cfg: MachineConfig,
     rec: &mut R,
+) -> Result<RunResult, RunError> {
+    run_decoded(app, program, &DecodedProgram::decode(program), cfg, rec, None)
+}
+
+/// The single-point run body every caller shares: checks the thread
+/// count, builds a machine for `program` from its pre-computed `decoded`
+/// form on `app`'s input, runs it under `cfg` with `rec` attached, and
+/// verifies the final memory image. The sweep passes its cached decode
+/// and its watchdog or sweep-level `cancel` token (DESIGN.md §18);
+/// everyone else goes through [`run_program`].
+///
+/// # Errors
+///
+/// Returns [`RunError::Sim`] for any typed simulator error (fault
+/// exhaustion, deadlock, watchdog, cancellation, bad program, bad config
+/// — including a thread-count mismatch between the app image and `cfg`)
+/// and [`RunError::Verify`] when the final memory image fails the host
+/// check.
+pub fn run_decoded<R: Recorder>(
+    app: &BuiltApp,
+    program: &Program,
+    decoded: &DecodedProgram,
+    cfg: MachineConfig,
+    rec: &mut R,
+    cancel: Option<Arc<AtomicBool>>,
 ) -> Result<RunResult, RunError> {
     let sim_err = |err| RunError::Sim { app: app.name.clone(), err };
     if cfg.total_threads() != app.nthreads {
@@ -147,9 +173,20 @@ pub fn run_program<R: Recorder>(
             ),
         }));
     }
-    let fin = Machine::try_new(cfg, program, app.shared.clone())
-        .and_then(|m| m.run_with(rec))
-        .map_err(sim_err)?;
+    let (machine, _) = Machine::try_new_predecoded(
+        cfg,
+        program,
+        decoded,
+        app.shared.clone(),
+        0,
+        &mut MachineScratch::new(),
+    )
+    .map_err(sim_err)?;
+    let machine = match cancel {
+        Some(token) => machine.with_cancel_token(token),
+        None => machine,
+    };
+    let fin = machine.run_with(rec).map_err(sim_err)?;
     app.verify(&fin.shared).map_err(|detail| RunError::Verify { app: app.name.clone(), detail })?;
     Ok(fin.result)
 }

@@ -18,10 +18,11 @@
 //! `mp3d` reproduce the device floating-point computation bit-for-bit.
 //!
 //! The [`harness`] module provides the one single-point run path —
-//! [`run_program`] runs a chosen image of an app with any recorder
-//! attached and verifies it, [`program_for`] picks the image a switch
-//! model runs, and [`run_app`] composes the two — plus the paper's
-//! efficiency metric. [`AppKind`] + [`build_app`] give the benches a
+//! [`run_decoded`] runs a chosen, pre-decoded image of an app with any
+//! recorder and an optional cancel token attached and verifies it (the
+//! sweep's path), [`run_program`] does the same from the bare image,
+//! [`program_for`] picks the image a switch model runs, and [`run_app`]
+//! composes the last two — plus the paper's efficiency metric. [`AppKind`] + [`build_app`] give the benches a
 //! uniform registry.
 
 pub mod blkmat;
@@ -35,7 +36,7 @@ pub mod ugray;
 pub mod water;
 
 pub use harness::{
-    baseline_cycles, efficiency, program_for, run_app, run_program, BuiltApp, RunError,
+    baseline_cycles, efficiency, program_for, run_app, run_decoded, run_program, BuiltApp, RunError,
 };
 
 /// The seven applications of the paper's Table 1, plus the trace-driven

@@ -32,11 +32,9 @@
 mod builder;
 mod expr;
 mod layout;
-mod parse;
 mod program;
 
 pub use builder::{FVar, IVar, ProgramBuilder};
 pub use expr::{Addr, Cond, FExpr, IExpr};
 pub use layout::{LocalFrame, SharedLayout};
-pub use parse::{parse_program, ParseAsmError};
 pub use program::Program;

@@ -4,7 +4,7 @@
 //! shared-access trace — no re-simulation needed.
 //!
 //! The per-app trace collection runs are independent, so they fan out on
-//! the sweep crate's work-stealing pool; results are merged back in
+//! the sweep crate's claim-cursor pool; results are merged back in
 //! Table 1 order.
 //!
 //! Usage: `cargo run --release -p mtsim-bench --bin cache_geometry [--scale tiny|small|full] [--jobs N]`

@@ -42,9 +42,11 @@ pub fn scale_from_args() -> Scale {
     Scale::Small
 }
 
-/// Parses `--jobs N` from command-line arguments. `None` (flag absent)
-/// lets the sweep engine pick its default (`MTSIM_JOBS` or the machine's
-/// available parallelism).
+/// Parses `--jobs N` from command-line arguments, else reads
+/// `MTSIM_JOBS` through the sweep engine's strict reader. `None` (both
+/// absent) lets the sweep engine pick the machine's available
+/// parallelism. Stops with a message on an invalid value from either
+/// source.
 pub fn jobs_from_args() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     for w in args.windows(2) {
@@ -56,5 +58,6 @@ pub fn jobs_from_args() -> Option<usize> {
             return Some(n);
         }
     }
-    None
+    mtsim_sweep::jobs_from_env()
+        .unwrap_or_else(|v| panic!("bad MTSIM_JOBS value '{v}' (expected a count >= 1)"))
 }

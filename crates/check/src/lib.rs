@@ -22,7 +22,7 @@
 //!   truncations, and worker panics against the crash-safe sweep layer
 //!   (DESIGN.md §18), asserting byte-identical recovery.
 //! * [`fuzz`] — the `mtsim check` driver: N seeded cases across the full
-//!   model grid on the work-stealing pool, failures minimized.
+//!   model grid on the claim-cursor pool, failures minimized.
 //! * [`check_program`] — one case, one verdict.
 //! * [`miscompiled_candidates`] — a deliberate §4-violating miscompiler
 //!   used to prove the harness catches real reordering bugs.
@@ -164,7 +164,7 @@ fn fault_seed_for(case_seed: u64) -> u64 {
 }
 
 /// Runs a fuzzing campaign: generates `cfg.cases` cases, checks each one
-/// across the full differential grid on the work-stealing pool, and
+/// across the full differential grid on the claim-cursor pool, and
 /// minimizes every failure (serially, after the parallel phase).
 pub fn fuzz(cfg: FuzzConfig) -> FuzzSummary {
     let seeds = case_seeds(cfg.seed, cfg.cases);

@@ -51,27 +51,16 @@ pub fn parse_jobs(value: &str) -> Result<usize, FlagError> {
         .ok_or_else(|| FlagError::new("jobs", value, JOBS_EXPECTED))
 }
 
-/// Reads the `MTSIM_JOBS` environment default for `--jobs`. Unset or
-/// blank means "no preference"; anything else must be a valid count —
-/// a typo in the environment used to be silently ignored (the pool fell
-/// back to the core count), which hid misconfigured CI jobs.
-pub fn jobs_from_env() -> Result<Option<usize>, FlagError> {
-    match std::env::var("MTSIM_JOBS") {
-        Err(_) => Ok(None),
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => match v.trim().parse::<usize>().ok().filter(|&n| n >= 1) {
-            Some(n) => Ok(Some(n)),
-            None => Err(FlagError::new("jobs", &v, JOBS_ENV_EXPECTED)),
-        },
-    }
-}
-
-/// Resolves the worker count: explicit `--jobs` beats `MTSIM_JOBS`;
-/// `None` defers to the pool's core-count default.
+/// Resolves the worker count: explicit `--jobs` beats `MTSIM_JOBS`
+/// (read strictly by [`mtsim_sweep::jobs_from_env`], so a typo there is
+/// a usage error, not a silent fall back to the core count); `None`
+/// defers to the pool's core-count default.
 pub fn resolve_jobs(flag: Option<&str>) -> Result<Option<usize>, FlagError> {
     match flag {
         Some(v) => parse_jobs(v).map(Some),
-        None => jobs_from_env(),
+        None => {
+            mtsim_sweep::jobs_from_env().map_err(|v| FlagError::new("jobs", &v, JOBS_ENV_EXPECTED))
+        }
     }
 }
 

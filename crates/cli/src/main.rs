@@ -70,11 +70,11 @@
 //! `check` is the differential-testing driver (DESIGN.md §15): it
 //! generates `--fuzz` random race-free programs from `--seed` (decimal or
 //! `0x` hex), runs each across every switch model × latency × grouping ×
-//! fault seed on the work-stealing pool, and compares every run's final
+//! fault seed on the claim-cursor pool, and compares every run's final
 //! architectural state against the sequential reference interpreter.
 //! Failures are minimized before being reported.
 //!
-//! `sweep` runs the cartesian grid on the work-stealing pool
+//! `sweep` runs the cartesian grid on the claim-cursor pool
 //! (`mtsim-sweep`). List axes are comma-separated; integer axes accept
 //! `LO-HI` ranges. A `--spec` file holds `key = value` lines with the
 //! same keys; explicit flags override it. With `--out`/`--csv` the
@@ -1011,10 +1011,10 @@ fn cmd_run(args: &Args) {
     // A pinned --opt-level overrides the model-aware auto selection;
     // `Switch` costs one cycle under the non-explicit models, so the
     // grouped image is legal (and verified) everywhere.
-    let program = match opt {
-        OptChoice::Auto => program_for(&app.program, model),
-        OptChoice::Level(OptLevel::None) => Cow::Borrowed(&app.program),
-        OptChoice::Level(OptLevel::Intra) => Cow::Owned(app.grouped().0),
+    let program = if opt.runs_grouped(model) {
+        Cow::Owned(app.grouped().0)
+    } else {
+        Cow::Borrowed(&app.program)
     };
     // `--stats` attaches a recorder (tiny ring: only the histograms are
     // read) so the latency percentiles come from real per-load samples;

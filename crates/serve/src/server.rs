@@ -67,7 +67,6 @@ struct Telemetry {
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_cancelled: AtomicU64,
-    machine_reuses: AtomicU64,
 }
 
 /// Shared server state.
@@ -216,7 +215,6 @@ fn run_job(state: &ServeState, id: u64) {
                     state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            state.stats.machine_reuses.fetch_add(out.machine_reuses, Ordering::Relaxed);
         }
         Err(SweepError::Aborted { reason, completed }) if reason == "cancelled" => {
             job.state = JobState::Cancelled;
@@ -520,7 +518,10 @@ fn stats(state: &ServeState) -> Vec<u8> {
     j.key("misses").u64(state.cache.misses());
     j.key("evictions").u64(state.cache.evictions());
     j.end();
-    j.key("machine_reuses").u64(state.stats.machine_reuses.load(Ordering::Relaxed));
+    // Always 0: sweeps no longer recycle machine buffers. The key stays
+    // for the benchmark harness that reads it; ROADMAP item 10 removes
+    // it together with those call sites.
+    j.key("machine_reuses").u64(0);
     j.end();
     response(200, "application/json", j.finish().as_bytes())
 }

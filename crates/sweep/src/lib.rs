@@ -6,7 +6,7 @@
 //! model, P, T, latency, …), and every grid point is an independent,
 //! deterministic, single-threaded simulation (DESIGN.md §9) — an
 //! embarrassingly parallel workload. This crate turns a declarative
-//! [`SweepSpec`] into jobs, runs them on a `std`-only work-stealing
+//! [`SweepSpec`] into jobs, runs them on a `std`-only claim-cursor
 //! thread pool with panic isolation, shares built application artifacts
 //! through an [`ArtifactCache`], and aggregates per-job
 //! [`mtsim_core::RunStats`] into a result table whose JSON/CSV renderings
@@ -40,18 +40,17 @@ mod results;
 mod spec;
 mod stream;
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mtsim_core::{Machine, MachineScratch, NoopRecorder, ObsRecorder};
-use mtsim_opt::OptLevel;
+use mtsim_apps::{run_decoded, RunError};
+use mtsim_core::{NoopRecorder, ObsRecorder};
 
 pub use cache::ArtifactCache;
 pub use checkpoint::{load_checkpoint, spec_hash, Checkpoint, SweepError};
-pub use pool::{default_workers, run_jobs, run_jobs_partial, Watchdog};
+pub use pool::{default_workers, jobs_from_env, run_jobs, run_jobs_partial, Watchdog};
 pub use results::{JobError, JobOutcome, OptCols, SweepOutcome};
 pub use spec::{
     JobSpec, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES, MAX_AXIS_VALUES, MAX_GRID_POINTS,
@@ -253,7 +252,6 @@ fn execute(
     };
     // Snapshot the counters so a shared cache reports per-sweep deltas.
     let (hits0, misses0) = (cache.hits(), cache.misses());
-    let reuses = AtomicU64::new(0);
     let done = AtomicUsize::new(prior.len());
     if let Some(c) = &opts.completed {
         c.store(prior.len(), Ordering::Relaxed);
@@ -273,7 +271,7 @@ fn execute(
     let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed));
 
     let ran = pool::run_jobs_partial(remaining, workers, &stop, |_, spec| {
-        let outcome = run_one_with_retries(spec, &cache, opts, watchdog.as_ref(), &reuses);
+        let outcome = run_one_with_retries(spec, &cache, opts, watchdog.as_ref());
         if cancelled() {
             // A cancelled sweep stops persisting: whatever this job
             // produced (typically a cancelled simulation) stays off the
@@ -340,7 +338,7 @@ fn execute(
         wall: started.elapsed(),
         cache_hits: cache.hits() - hits0,
         cache_misses: cache.misses() - misses0,
-        machine_reuses: reuses.load(Ordering::Relaxed),
+        machine_reuses: 0,
     })
 }
 
@@ -354,7 +352,6 @@ fn run_one_with_retries(
     cache: &ArtifactCache,
     opts: &SweepOpts,
     watchdog: Option<&Watchdog>,
-    reuses: &AtomicU64,
 ) -> JobOutcome {
     let attempts_allowed = 1 + opts.retries;
     let mut attempt = 0u32;
@@ -378,7 +375,7 @@ fn run_one_with_retries(
                     }
                 }
             }
-            run_one(spec, cache, cancel, reuses)
+            run_one(spec, cache, cancel)
         }));
         drop(armed);
         let mut outcome = match run {
@@ -410,95 +407,29 @@ fn run_one_with_retries(
     }
 }
 
-thread_local! {
-    /// Per-worker parked machine state. Successive same-shape jobs on one
-    /// worker reuse the thread vector instead of reallocating it (no
-    /// program image is parked); see [`MachineScratch`]. The pool spawns fresh
-    /// scoped threads per sweep, so this holds nothing across sweeps.
-    static MACHINE_SCRATCH: RefCell<MachineScratch> = RefCell::new(MachineScratch::new());
-}
-
-/// Scratch-reuse key for a grid point: everything that determines the
-/// program *content* plus the address of the artifact actually run.
-/// Artifacts are deterministic functions of `(app, scale, nthreads,
-/// variant)` — where `variant` discriminates the base program, the
-/// grouped program, and each optimizer level. The scratch parks only
-/// per-thread buffers, never a program image: the machine always runs
-/// the program and decode handed to it, and re-derives the buffer shape
-/// on every build, so a key decides only whether an allocation is
-/// skipped.
-fn scratch_key(spec: &JobSpec, program: &mtsim_asm::Program, variant: u8) -> u64 {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(spec.app.name().as_bytes());
-    buf.push(b'/');
-    buf.extend_from_slice(spec.scale.name().as_bytes());
-    buf.extend_from_slice(&(spec.nthreads() as u64).to_le_bytes());
-    buf.extend_from_slice(&(program as *const _ as usize as u64).to_le_bytes());
-    buf.push(variant);
-    let key = checkpoint::fnv1a64(&buf);
-    // Key 0 means "never reuse" to the engine; remap the one-in-2^64 hash.
-    if key == 0 {
-        1
-    } else {
-        key
-    }
-}
-
-/// Runs a single grid point against the shared artifact cache.
-fn run_one(
-    spec: &JobSpec,
-    cache: &ArtifactCache,
-    cancel: Option<Arc<AtomicBool>>,
-    reuses: &AtomicU64,
-) -> JobOutcome {
+/// Runs a single grid point: cache lookups (built app, image, cached
+/// decode), then the shared single-point body with the sweep's recorder
+/// and cancel token, then the mapping of its error to a job error.
+fn run_one(spec: &JobSpec, cache: &ArtifactCache, cancel: Option<Arc<AtomicBool>>) -> JobOutcome {
     let (app, mut cache_hit) = cache.built(spec.app, spec.scale, spec.nthreads());
     let cfg = spec.config();
-    if cfg.total_threads() != app.nthreads {
-        let message = format!(
-            "app was built for {} threads, config asks for {}",
-            app.nthreads,
-            cfg.total_threads()
-        );
-        let result = Err(JobError::Sim { kind: "config", message });
-        return JobOutcome { cache_hit, ..JobOutcome::once(*spec, result) };
-    }
 
-    // Attribution runs attach a real recorder; a tiny ring suffices since
-    // the sweep only keeps the attribution table, not the event trace.
-    let mut rec =
-        spec.attr.then(|| ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), 1));
-
-    // Program selection. `Auto` mirrors `mtsim_apps::run_app`'s
-    // model-aware choice (grouped iff the model needs explicit switches)
-    // through the cache; a pinned level runs its image under every model
-    // (a `Switch` is a 1-cycle no-op on the implicit machines) and
-    // records the grouping statistics. The scratch-key variant byte
-    // discriminates every distinct artifact: 0 = base, 1 = auto-grouped,
-    // 2 = pinned `none`, 3 = pinned `intra`.
-    let mut group = || {
+    // A pinned level runs its image under every model (a `Switch` is a
+    // 1-cycle no-op on the implicit machines) and records the grouping
+    // statistics, all zero for `none`; `auto` records none.
+    let grouped = spec.opt.runs_grouped(cfg.model).then(|| {
         let (program, stats, hit) = cache.grouped(spec.app, spec.scale, spec.nthreads());
         cache_hit = cache_hit && hit;
         (program, stats)
-    };
-    let grouped;
-    let (program, variant, opt_cols) = match spec.opt {
-        OptChoice::Auto if cfg.model.uses_explicit_switch() => {
-            grouped = group().0;
-            (&*grouped, 1u8, None)
-        }
-        OptChoice::Auto => (&app.program, 0, None),
-        OptChoice::Level(OptLevel::None) => (&app.program, 2, Some(OptCols::default())),
-        OptChoice::Level(OptLevel::Intra) => {
-            let (program, stats) = group();
-            grouped = program;
-            let cols = OptCols {
-                grouped_loads: stats.grouped_loads as u64,
-                groups: stats.switches_inserted as u64,
-            };
-            (&*grouped, 3, Some(cols))
-        }
-    };
-    let key = scratch_key(spec, program, variant);
+    });
+    let program = grouped.as_ref().map_or(&app.program, |(program, _)| &**program);
+    let opt_cols = matches!(spec.opt, OptChoice::Level(_)).then(|| match &grouped {
+        Some((_, stats)) => OptCols {
+            grouped_loads: stats.grouped_loads as u64,
+            groups: stats.switches_inserted as u64,
+        },
+        None => OptCols::default(),
+    });
 
     // Decode once per distinct program per cache lifetime (DESIGN.md
     // §20); every grid point then hands the engine its dense form
@@ -506,29 +437,18 @@ fn run_one(
     let (decoded, decoded_hit) = cache.decoded(program);
     cache_hit = cache_hit && decoded_hit;
 
-    let run = MACHINE_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let (machine, reused) =
-            Machine::try_new_predecoded(cfg, program, &decoded, app.shared.clone(), key, scratch)?;
-        if reused {
-            reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        let machine = match cancel {
-            Some(token) => machine.with_cancel_token(token),
-            None => machine,
-        };
-        match rec.as_mut() {
-            Some(r) => machine.run_reusing(r, key, scratch),
-            None => machine.run_reusing(&mut NoopRecorder, key, scratch),
-        }
-    });
-
+    // Attribution runs attach a real recorder; a tiny ring suffices since
+    // the sweep only keeps the attribution table, not the event trace.
+    let mut rec =
+        spec.attr.then(|| ObsRecorder::with_capacity(cfg.processors, cfg.total_threads(), 1));
+    let run = match rec.as_mut() {
+        Some(r) => run_decoded(&app, program, &decoded, cfg, r, cancel),
+        None => run_decoded(&app, program, &decoded, cfg, &mut NoopRecorder, cancel),
+    };
     let result = match run {
-        Err(err) => Err(JobError::from_sim(&err)),
-        Ok(lean) => match app.verify(&lean.shared) {
-            Err(message) => Err(JobError::Verify { message }),
-            Ok(()) => Ok(lean.result.stats()),
-        },
+        Ok(r) => Ok(r.stats()),
+        Err(RunError::Sim { err, .. }) => Err(JobError::from_sim(&err)),
+        Err(RunError::Verify { detail, .. }) => Err(JobError::Verify { message: detail }),
     };
     // Attribution and opt statistics describe a finished run only.
     let (attr, opt) = match &result {
@@ -543,6 +463,7 @@ mod tests {
     use super::*;
     use mtsim_apps::{AppKind, Scale};
     use mtsim_core::SwitchModel;
+    use mtsim_opt::OptLevel;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -695,30 +616,6 @@ mod tests {
         assert_eq!(job.result.as_ref().unwrap_err().kind(), "timeout");
         assert!(job.quarantined);
         assert_eq!(job.attempts, 2);
-    }
-
-    #[test]
-    fn machine_reuse_kicks_in_and_is_bit_identical_on_one_worker() {
-        // Same app/scale/threads at several memory latencies: every job
-        // after the first on the single worker reuses the parked machine.
-        let spec = SweepSpec {
-            apps: vec![AppKind::Sieve],
-            models: vec![SwitchModel::SwitchOnLoad],
-            procs: vec![2],
-            threads: vec![2],
-            latencies: vec![1, 4, 16, 64],
-            scale: Scale::Tiny,
-            ..SweepSpec::default()
-        };
-        let opts = SweepOpts { workers: Some(1), ..SweepOpts::default() };
-        let reused = run_sweep(&spec, &opts).unwrap();
-        assert_eq!(reused.ok_count(), 4);
-        assert_eq!(reused.machine_reuses, 3, "jobs 2..4 must reuse the parked machine");
-        // Reuse must never leak state between grid points: the results
-        // match a multi-worker run (mostly fresh machines) byte for byte.
-        let spread =
-            run_sweep(&spec, &SweepOpts { workers: Some(4), ..SweepOpts::default() }).unwrap();
-        assert_eq!(reused.results_json(), spread.results_json());
     }
 
     #[test]

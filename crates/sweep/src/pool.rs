@@ -1,21 +1,22 @@
-//! A `std`-only work-stealing thread pool for sweep jobs.
+//! A `std`-only claim-cursor thread pool for sweep jobs.
 //!
-//! Topology: one shared injector deque seeded with every job, plus one
-//! local deque per worker. A worker pops from the front of its own queue,
-//! refills from the injector in small batches when dry, and finally
-//! steals from the *back* of a peer's queue. Jobs run under
-//! `catch_unwind`, so one panicking grid point becomes one failed result
-//! instead of a dead worker (or a dead sweep).
+//! Every job is known up front, so scheduling is one shared cursor:
+//! each worker claims the next submission index with a single
+//! `fetch_add` and runs it. Jobs run under `catch_unwind`, so one
+//! panicking grid point becomes one failed result instead of a dead
+//! worker (or a dead sweep). Results carry their submission index and
+//! are merged back into submission order, which keeps the output
+//! independent of scheduling.
 //!
-//! Each lock guards a single deque and is never held while another is
-//! acquired except in the fixed order injector → own queue, so the pool
-//! cannot deadlock. Results carry their submission index and are merged
-//! back into submission order, which keeps the output independent of
-//! scheduling.
+//! **Prefix guarantee.** Indices are claimed in submission order and
+//! every claimed index runs to completion, so when the stop flag halts a
+//! pool the jobs that ran are exactly a prefix `0..k` of the submitted
+//! items. A sweep killed at a job boundary (the chaos harness's injected
+//! kill) therefore leaves a checkpoint that holds a prefix of its grid;
+//! a hard kill can leave holes only where jobs were still in flight.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -23,16 +24,31 @@ use std::time::{Duration, Instant};
 /// caught panic message).
 pub type Finished<I, O> = (usize, I, Result<O, String>);
 
-/// Workers to use when the caller does not say: `MTSIM_JOBS` if set and
-/// positive, else the machine's available parallelism, else 1.
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("MTSIM_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+/// Reads the `MTSIM_JOBS` worker-count default — the one reader of that
+/// variable, for the front ends (`mtsim`, the table binaries) to call
+/// when no `--jobs` is given. Unset or blank means "no preference"
+/// (`Ok(None)`); anything else must be a count >= 1, and an invalid
+/// value comes back as `Err(value)` so each front end reports it in its
+/// own words instead of quietly running on every core.
+pub fn jobs_from_env() -> Result<Option<usize>, String> {
+    parse_jobs_env(std::env::var("MTSIM_JOBS").ok())
+}
+
+fn parse_jobs_env(value: Option<String>) -> Result<Option<usize>, String> {
+    match value {
+        None => Ok(None),
+        Some(v) if v.trim().is_empty() => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(v),
+        },
     }
+}
+
+/// Workers to use when the caller does not say: the machine's available
+/// parallelism, else 1. Front ends resolve `--jobs` and `MTSIM_JOBS`
+/// ([`jobs_from_env`]) first and pass the count explicitly.
+pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -50,17 +66,14 @@ where
     let total = items.len();
     let finished = run_jobs_partial(items, workers, &AtomicBool::new(false), f);
     debug_assert_eq!(finished.len(), total);
-    let mut out: Vec<Option<(I, Result<O, String>)>> = (0..total).map(|_| None).collect();
-    for (idx, item, result) in finished {
-        out[idx] = Some((item, result));
-    }
-    out.into_iter().map(|slot| slot.expect("pool lost a job")).collect()
+    finished.into_iter().map(|(_, item, result)| (item, result)).collect()
 }
 
 /// Like [`run_jobs`], but workers stop claiming new jobs once `stop` is
 /// set — jobs already running finish normally. Returns only the jobs
 /// that actually ran, as `(submission index, item, result)` sorted by
-/// index. The crash-safe sweep layer uses this for graceful aborts
+/// index; by the prefix guarantee (module docs) those indices are
+/// `0..k`. The crash-safe sweep layer uses this for graceful aborts
 /// (stream-write failure, injected chaos kills): durable progress is
 /// whatever completed, and everything else stays runnable on resume.
 pub fn run_jobs_partial<I, O, F>(
@@ -76,20 +89,25 @@ where
 {
     let total = items.len();
     let workers = workers.max(1).min(total.max(1));
-    let injector: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let locals: Vec<Mutex<VecDeque<(usize, I)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let f = &f;
-    let injector = &injector;
-    let locals = &locals;
+    // One slot per item: a claimed index is taken exactly once, so its
+    // lock is never contended; it only lets `I: Send` items cross threads.
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let cursor = AtomicUsize::new(0);
+    let (f, slots, cursor) = (&f, &slots, &cursor);
 
-    let mut collected: Vec<Vec<Finished<I, O>>> = std::thread::scope(|scope| {
+    let mut out: Vec<Finished<I, O>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|me| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut done = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        let Some((idx, item)) = next_job(me, injector, locals) else { break };
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(idx) else { break };
+                        let item = slot
+                            .lock()
+                            .expect("a slot is locked only to take its item")
+                            .take()
+                            .expect("each index is claimed once");
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             let _quiet = silence_panics_on_this_thread();
                             f(idx, &item)
@@ -101,54 +119,13 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked outside a job")).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker panicked outside a job"))
+            .collect()
     });
-
-    let mut out: Vec<Finished<I, O>> = collected.drain(..).flatten().collect();
     out.sort_by_key(|(idx, _, _)| *idx);
     out
-}
-
-/// Claim the next job for worker `me`: own queue front, then an injector
-/// batch, then a steal from the back of the busiest-looking peer.
-fn next_job<I>(
-    me: usize,
-    injector: &Mutex<VecDeque<(usize, I)>>,
-    locals: &[Mutex<VecDeque<(usize, I)>>],
-) -> Option<(usize, I)> {
-    if let Some(job) = locals[me].lock().unwrap().pop_front() {
-        return Some(job);
-    }
-    {
-        let mut inj = injector.lock().unwrap();
-        if !inj.is_empty() {
-            // Take a batch: the first job runs now, the rest park in the
-            // local queue where idle peers can steal them back. Chunky
-            // batches amortize the injector lock across many small jobs
-            // (a tiny-scale grid point runs in single-digit milliseconds,
-            // so per-claim locking was a measurable tax); stealing from
-            // the back of peers keeps the tail balanced anyway.
-            let batch = inj.len().div_ceil(locals.len()).clamp(1, 16);
-            let first = inj.pop_front();
-            let mut own = locals[me].lock().unwrap();
-            for _ in 1..batch {
-                match inj.pop_front() {
-                    Some(job) => own.push_back(job),
-                    None => break,
-                }
-            }
-            return first;
-        }
-    }
-    for (peer, queue) in locals.iter().enumerate() {
-        if peer == me {
-            continue;
-        }
-        if let Some(job) = queue.lock().unwrap().pop_back() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 thread_local! {
@@ -309,7 +286,6 @@ impl Drop for ArmedToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -360,6 +336,49 @@ mod tests {
         // Serial worker: exactly jobs 0..=5 ran, in order, nothing lost.
         assert_eq!(ran.len(), 6);
         assert!(ran.iter().enumerate().all(|(i, (idx, _, _))| i == *idx));
+    }
+
+    #[test]
+    fn a_stopped_pool_ran_exactly_a_prefix_of_the_submission_order() {
+        // Uneven job costs on 8 workers, stopped partway: every claimed
+        // index ran once, and the indices that ran are exactly 0..k —
+        // the property that makes a killed sweep's checkpoint a prefix
+        // of its grid.
+        const JOBS: usize = 200;
+        let stop = AtomicBool::new(false);
+        let runs: Vec<AtomicUsize> = (0..JOBS).map(|_| AtomicUsize::new(0)).collect();
+        let ran = run_jobs_partial((0..JOBS).collect::<Vec<usize>>(), 8, &stop, |idx, &n| {
+            runs[idx].fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_micros(((n * 7919) % 13) as u64 * 100));
+            if n == 37 {
+                stop.store(true, Ordering::Relaxed);
+            }
+            n
+        });
+        let k = ran.len();
+        assert!((38..JOBS).contains(&k), "stopped pool ran {k} of {JOBS} jobs");
+        for (i, (idx, item, result)) in ran.iter().enumerate() {
+            assert_eq!((*idx, *item, result.as_ref().ok()), (i, i, Some(&i)));
+        }
+        for (idx, count) in runs.iter().enumerate() {
+            let want = usize::from(idx < k);
+            assert_eq!(
+                count.load(Ordering::Relaxed),
+                want,
+                "job {idx} ran the wrong number of times"
+            );
+        }
+    }
+
+    #[test]
+    fn mtsim_jobs_is_a_positive_count_or_unset() {
+        assert_eq!(parse_jobs_env(None), Ok(None));
+        assert_eq!(parse_jobs_env(Some("  ".into())), Ok(None));
+        assert_eq!(parse_jobs_env(Some("3".into())), Ok(Some(3)));
+        assert_eq!(parse_jobs_env(Some(" 2 ".into())), Ok(Some(2)));
+        for bad in ["0", "-1", "abc", "1.5"] {
+            assert_eq!(parse_jobs_env(Some(bad.into())), Err(bad.to_string()));
+        }
     }
 
     #[test]

@@ -274,9 +274,9 @@ pub struct SweepOutcome {
     pub cache_hits: u64,
     /// Artifact-cache misses (builds performed).
     pub cache_misses: u64,
-    /// Jobs whose `Machine` was built from a worker's recycled buffers
-    /// (same program, same scratch key) instead of fresh allocations.
-    /// Scheduling-dependent — telemetry only, never the result table.
+    /// Always 0: the sweep no longer recycles machine buffers between
+    /// jobs. The field stays only for the benchmark harness that reads
+    /// it; ROADMAP item 10 removes it together with those call sites.
     pub machine_reuses: u64,
 }
 

@@ -29,6 +29,17 @@ impl OptChoice {
         }
     }
 
+    /// Whether this choice runs the §5.1 grouped image under `model`:
+    /// `auto` groups exactly when the model switches explicitly, a
+    /// pinned level exactly when it is `intra`. The one image choice
+    /// behind both the sweep and `mtsim run --opt-level`.
+    pub fn runs_grouped(self, model: SwitchModel) -> bool {
+        match self {
+            OptChoice::Auto => model.uses_explicit_switch(),
+            OptChoice::Level(level) => level == OptLevel::Intra,
+        }
+    }
+
     /// Parses a [`name`](OptChoice::name) back into a choice.
     pub fn from_name(s: &str) -> Option<OptChoice> {
         if s == "auto" {
