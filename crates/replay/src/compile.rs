@@ -1,8 +1,19 @@
 //! Trace → program compilation (see the crate docs for the scheme).
 
-use mtsim_asm::{Program, ProgramBuilder};
-use mtsim_isa::{AccessHint, Inst};
+use mtsim_asm::{IVar, Program, ProgramBuilder};
+use mtsim_isa::{AccessHint, FReg, Inst, Reg, Space};
 use mtsim_mem::{SharedMemory, TraceEvent, TraceKind};
+
+/// Reads of one kind a thread issues before it reuses a destination
+/// register. A read's value is never used, but a sink reused sooner gives
+/// the grouping pass a write-after-write completion edge on an in-flight
+/// load, which closes the group (DESIGN.md §22). Measured at 4, 8 and 16
+/// (EXPERIMENTS.md "Replay grouping"): 8 takes most of 16's cut in
+/// simulated cycles at less engine host time, which grows with the loads
+/// in flight. It may not exceed 16, since a pair read holds two of the
+/// 32 fp registers.
+const SINK_WINDOW: usize = 8;
+const _: () = assert!(SINK_WINDOW <= 16);
 
 /// Upper bound on the word address a trace may touch. Trace addresses are
 /// used directly as shared-memory word addresses (no remapping — pair
@@ -128,6 +139,45 @@ fn emit_update(b: &mut ProgramBuilder, addr: u64, n: &mut u64, expected: &mut [u
     expected[addr as usize] = expected[addr as usize].wrapping_add(k);
 }
 
+/// One thread's read destinations: integer reads rotate through
+/// [`SINK_WINDOW`] variables that stay live for the whole thread block,
+/// and pair reads through as many fp register pairs. Any two reads that
+/// share a register are at least [`SINK_WINDOW`] reads apart.
+///
+/// Pair reads are emitted directly into fixed registers because the
+/// builder can only load a pair into fresh variables; the replay program
+/// uses no other fp register, so nothing else allocates them.
+#[derive(Default)]
+struct Sinks {
+    ints: [Option<IVar>; SINK_WINDOW],
+    int_reads: usize,
+    pair_reads: usize,
+}
+
+impl Sinks {
+    fn read(&mut self, b: &mut ProgramBuilder, addr: u64) {
+        let load = b.load_shared(b.const_i(addr as i64));
+        let slot = &mut self.ints[self.int_reads % SINK_WINDOW];
+        match *slot {
+            Some(var) => b.assign(var, load),
+            None => *slot = Some(b.def_i("sink", load)),
+        }
+        self.int_reads += 1;
+    }
+
+    fn read_pair(&mut self, b: &mut ProgramBuilder, addr: u64) {
+        let first = 2 * (self.pair_reads % SINK_WINDOW) as u8;
+        b.emit(Inst::LoadPair {
+            space: Space::Shared,
+            fd1: FReg::new(first),
+            fd2: FReg::new(first + 1),
+            base: Reg::ZERO,
+            offset: addr as i64,
+        });
+        self.pair_reads += 1;
+    }
+}
+
 /// Compiles a trace into a runnable, self-verifying program.
 ///
 /// Events are grouped by thread id (gaps allowed; ids map densely in
@@ -207,19 +257,15 @@ pub fn compile(events: &[TraceEvent]) -> Result<TraceProgram, ReplayError> {
     let mut b = ProgramBuilder::new("replay");
     for (dense, idxs) in threads.iter().enumerate() {
         b.if_(b.tid().eq(dense as i64), |b| {
+            // Loads go into sink registers that are never stored: the
+            // loaded value cannot reach memory, so racing updates of the
+            // same word stay harmless.
+            let mut sinks = Sinks::default();
             for &i in *idxs {
                 let e = &events[i];
                 match e.kind {
-                    // Loads go into scope-local scratch registers (freed
-                    // immediately) that are never stored: the loaded
-                    // value cannot reach memory, so racing updates of the
-                    // same word stay harmless.
-                    TraceKind::Read => b.scoped(|b| {
-                        let _sink = b.def_i("sink", b.load_shared(b.const_i(e.addr as i64)));
-                    }),
-                    TraceKind::ReadPair => b.scoped(|b| {
-                        b.load_pair_shared_f("sink", b.const_i(e.addr as i64));
-                    }),
+                    TraceKind::Read => sinks.read(b, e.addr),
+                    TraceKind::ReadPair => sinks.read_pair(b, e.addr),
                     TraceKind::Write | TraceKind::FetchAdd => {
                         emit_update(b, e.addr, &mut updates, &mut expected);
                     }
@@ -253,8 +299,10 @@ pub fn compile(events: &[TraceEvent]) -> Result<TraceProgram, ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{synthesize, SynthConfig};
     use mtsim_core::{Machine, MachineConfig, SwitchModel};
     use mtsim_mem::FaultConfig;
+    use mtsim_opt::group_shared_loads;
 
     fn ev(thread: u32, time: u64, kind: TraceKind, addr: u64) -> TraceEvent {
         TraceEvent { time, proc: 0, thread, kind, addr, spin: false }
@@ -368,6 +416,74 @@ mod tests {
             assert_eq!(a.result.cycles, b.result.cycles, "fault seed {seed} not deterministic");
             tp.verify(&a.shared).unwrap();
             tp.verify(&b.shared).unwrap();
+        }
+    }
+
+    #[test]
+    fn reads_within_the_sink_window_have_distinct_destinations() {
+        let cfg = SynthConfig {
+            seed: 11,
+            threads: 6,
+            events_per_thread: 400,
+            pair_fraction: 0.4,
+            ..SynthConfig::default()
+        };
+        let tp = compile(&synthesize(&cfg)).unwrap();
+        let mut reads_seen = 0;
+        // Each thread's block ends in its own Halt.
+        for block in tp.program.insts().split(|i| matches!(i, Inst::Halt)) {
+            let dests: Vec<u64> = block
+                .iter()
+                .filter(|i| {
+                    matches!(
+                        i,
+                        Inst::Load { space: Space::Shared, .. }
+                            | Inst::LoadPair { space: Space::Shared, .. }
+                    )
+                })
+                .map(Inst::def_mask)
+                .collect();
+            reads_seen += dests.len();
+            for (n, window) in dests.windows(SINK_WINDOW).enumerate() {
+                let mut seen = 0u64;
+                for (k, &d) in window.iter().enumerate() {
+                    assert!(
+                        d != 0 && seen & d == 0,
+                        "read {} reuses a sink of the last {SINK_WINDOW}",
+                        n + k
+                    );
+                    seen |= d;
+                }
+            }
+        }
+        assert!(reads_seen > 1000, "the trace must exercise the window ({reads_seen} reads)");
+    }
+
+    #[test]
+    fn long_traces_group_at_least_four_loads_per_switch() {
+        let cfg =
+            SynthConfig { seed: 8, threads: 16, events_per_thread: 600, ..SynthConfig::default() };
+        let stats = group_shared_loads(&compile(&synthesize(&cfg)).unwrap().program).stats;
+        assert!(
+            stats.grouping_factor() >= 4.0,
+            "mean group {:.2} ({} loads over {} switches)",
+            stats.grouping_factor(),
+            stats.grouped_loads,
+            stats.switches_inserted
+        );
+    }
+
+    #[test]
+    fn thousands_of_back_to_back_reads_fit_the_register_files() {
+        let mut events: Vec<_> = (0..2000).map(|i| ev(0, i, TraceKind::ReadPair, 2 * i)).collect();
+        events.extend((0..2000).map(|i| ev(1, i, TraceKind::Read, i)));
+        let tp = compile(&events).unwrap();
+        let grouped = group_shared_loads(&tp.program).program;
+        let explicit = MachineConfig::new(SwitchModel::ExplicitSwitch, 1, 2).with_latency(200);
+        let smt4 = MachineConfig::new(SwitchModel::Smt, 1, 2).with_latency(200).with_issue_width(4);
+        for (cfg, program) in [(explicit, &grouped), (smt4, &tp.program)] {
+            let fin = Machine::new(cfg, program, tp.shared()).run().expect("replay run").shared;
+            tp.verify(&fin).unwrap();
         }
     }
 }

@@ -16,9 +16,14 @@
 //! encoding is **race-free by construction**, so the final shared-memory
 //! image is schedule-independent and can be predicted host-side:
 //!
-//! * reads (`r`/`rp`) load into scratch registers that are never stored —
+//! * reads (`r`/`rp`) load into sink registers that are never stored —
 //!   their values cannot flow into memory, so concurrent updates to the
-//!   same words are harmless;
+//!   same words are harmless. Each thread rotates its integer reads
+//!   through eight sinks and its pair reads through eight fp register
+//!   pairs, so two reads that share a register are at least eight reads
+//!   apart and the §5.1 grouping pass can put up to eight of a block's
+//!   reads before one switch (a sink reused sooner would close the
+//!   group on a write-after-write edge);
 //! * writes (`w`/`wp`) and fetch-and-adds (`fa`) all become
 //!   **fetch-and-add** messages with a small deterministic addend
 //!   (`1 + n mod 7` for the `n`-th update in the trace). Addition

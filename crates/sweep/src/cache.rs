@@ -1,13 +1,13 @@
 //! Shared artifact cache: build each application image once per cache
 //! lifetime.
 //!
-//! A grid point needs two artifacts: the built application (program +
-//! initialized shared memory + verifier) keyed by `(app, scale,
-//! nthreads)` — the program's *shape*, i.e. everything codegen depends
-//! on — and, under the explicit/conditional switch models or a pinned
+//! A grid point needs up to three artifacts: the built application
+//! (program + initialized shared memory + verifier) keyed by `(app,
+//! scale, nthreads)` — the program's *shape*, i.e. everything codegen
+//! depends on; under the explicit/conditional switch models or a pinned
 //! `intra` opt level, the grouped program produced by the load-grouping
-//! pass together with its statistics. Two guarantees hold at
-//! any worker count:
+//! pass together with its statistics; and the pre-decoded program the
+//! engine runs. Two guarantees hold at any worker count:
 //!
 //! * **Each key builds exactly once.** Every key maps to a `OnceLock`
 //!   slot; concurrent first lookups race to initialize it, the losers
@@ -15,12 +15,12 @@
 //!   that gets thrown away. That also makes the hit/miss counters
 //!   deterministic: misses ≡ distinct keys built, hits ≡ everything
 //!   else.
-//! * **Grouping is deduplicated by program content.** Some applications
-//!   emit the same program at every thread count (only their input
-//!   image differs), so grouped programs are keyed by a content hash of
-//!   the built program rather than the full `(app, scale, nthreads)`
-//!   key — those apps pay for one grouping pass per sweep, not one per
-//!   thread-count axis value.
+//! * **Grouping and decoding are deduplicated by program content.** Some
+//!   applications emit the same program at every thread count (only
+//!   their input image differs), so grouped and decoded programs are
+//!   keyed by a content hash of the program rather than the full `(app,
+//!   scale, nthreads)` key — those apps pay for one grouping pass and
+//!   one decode per sweep, not one per thread-count axis value.
 //!
 //! The cache's lifetime is the caller's choice: `run_sweep` creates a
 //! private one per sweep by default, while a long-running service
@@ -59,7 +59,8 @@ impl<T> Entry<T> {
     }
 }
 
-/// Thread-safe cache of built applications and grouped programs.
+/// Thread-safe cache of built applications, grouped programs and decoded
+/// programs.
 #[derive(Default)]
 pub struct ArtifactCache {
     built: Mutex<HashMap<Key, Entry<Arc<BuiltApp>>>>,
