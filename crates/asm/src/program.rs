@@ -1,5 +1,7 @@
 //! The [`Program`] container: a resolved, immutable instruction sequence.
 
+use std::hash::{Hash, Hasher};
+
 use mtsim_isa::{Inst, LabelId, Pc, Target};
 
 /// A finished program: instructions with all branch targets resolved to
@@ -111,6 +113,18 @@ impl Program {
         self.insts.iter().filter(|i| matches!(i, Inst::Switch)).count()
     }
 
+    /// A structural content key: a hash of every instruction's fields
+    /// (`FLi` values by bit pattern) and of [`Program::local_words`], but
+    /// not of the name, so programs that differ only in name share a key.
+    /// The hasher is fixed, so the key is the same in every process; it is
+    /// an in-memory cache key and is never written out.
+    pub fn content_key(&self) -> u64 {
+        let mut h = ContentHasher(0xcbf2_9ce4_8422_2325);
+        self.insts.hash(&mut h);
+        self.local_words.hash(&mut h);
+        h.finish()
+    }
+
     /// A human-readable listing, one instruction per line with pc prefixes.
     pub fn listing(&self) -> String {
         use std::fmt::Write as _;
@@ -119,6 +133,39 @@ impl Program {
             let _ = writeln!(s, "{pc:5}:  {inst}");
         }
         s
+    }
+}
+
+/// FNV-1a's xor-then-multiply step taken once per integer written rather
+/// than once per byte: every field of an instruction is one step.
+struct ContentHasher(u64);
+
+impl Hasher for ContentHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -148,7 +195,7 @@ impl LabelTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtsim_isa::{AluOp, Reg};
+    use mtsim_isa::{AluOp, FReg, Reg};
 
     fn nop() -> Inst {
         Inst::Nop
@@ -203,6 +250,30 @@ mod tests {
         let l = p.listing();
         assert!(l.contains("switch"));
         assert!(l.lines().count() == 3);
+    }
+
+    #[test]
+    fn content_key_ignores_the_name_and_covers_local_words_and_fp_bits() {
+        let insts = |val: f64| vec![Inst::FLi { fd: FReg::new(2), val }, Inst::Halt];
+        let p = Program::from_raw_parts("a", insts(1.5));
+        assert_eq!(p.content_key(), Program::from_raw_parts("b", insts(1.5)).content_key());
+        assert_ne!(p.content_key(), Program::from_raw_parts("a", insts(2.5)).content_key());
+
+        // Programs differing only in local words: same listing, new key.
+        let wide = p.clone().with_local_words(8);
+        assert_eq!(wide.listing(), p.listing());
+        assert_ne!(wide.content_key(), p.content_key());
+        assert_eq!(wide.content_key(), p.clone().with_local_words(8).content_key());
+
+        // Programs differing only in an `FLi` NaN payload: same listing
+        // ("NaN"), new key.
+        let payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        let (q, r) = (
+            Program::from_raw_parts("n", insts(f64::NAN)),
+            Program::from_raw_parts("n", insts(payload)),
+        );
+        assert_eq!(q.listing(), r.listing());
+        assert_ne!(q.content_key(), r.content_key());
     }
 
     #[test]

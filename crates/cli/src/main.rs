@@ -933,7 +933,14 @@ fn cmd_replay(args: &Args) {
                 sc.events_per_thread = parse_num("events", v);
             }
             if let Some(v) = args.get("addr-words") {
+                // Below two words the synthesizer would quietly use two;
+                // past the replay cap the whole trace would be built only
+                // for `compile` to refuse it.
+                let max = mtsim_replay::MAX_ADDR_WORDS;
                 sc.addr_words = parse_num("addr-words", v);
+                if !(2..=max).contains(&sc.addr_words) {
+                    bad_usage(&format!("--addr-words {v} is outside [2, {max}]"));
+                }
             }
             if let Some(v) = args.get("locality") {
                 sc.locality = parse_fraction("locality", v);

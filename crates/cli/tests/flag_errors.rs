@@ -3,7 +3,8 @@
 //! code 2 and names the flag, the offending value, and the accepted
 //! grammar on stderr; a size past a cap (threads, latency, replay
 //! events) exits 2 and names the cap; a replay probability outside
-//! [0, 1] exits 2 and names the flag and the range.
+//! [0, 1], or a synthetic address space outside [2, `MAX_ADDR_WORDS`],
+//! exits 2 and names the flag and the range.
 
 use std::process::{Command, Output};
 
@@ -301,6 +302,23 @@ fn replay_probabilities_outside_the_unit_interval_are_usage_errors() {
             ]);
             assert_eq!(out.status.code(), Some(0), "{flag} {ok}: {out:?}");
         }
+    }
+}
+
+#[test]
+fn replay_addr_words_outside_the_trace_range_are_usage_errors() {
+    let replay = ["replay", "--synth", "1", "-p", "1", "-t", "1", "--events", "20"];
+    let max = "1048576";
+    for bad in ["0", "1", "1048577", "18446744073709551615"] {
+        assert_usage_error(
+            &[&replay[..], &["--addr-words", bad]].concat(),
+            &[&format!("--addr-words {bad} is outside [2, {max}]")],
+        );
+    }
+    // The bounds themselves are valid.
+    for ok in ["2", max] {
+        let out = mtsim(&[&replay[..], &["--addr-words", ok]].concat());
+        assert_eq!(out.status.code(), Some(0), "--addr-words {ok}: {out:?}");
     }
 }
 

@@ -8,6 +8,8 @@
 //! Sequent-style C/FORTRAN programs; in `mtsim` it is enforced by
 //! construction because the program builder separates the two spaces.
 
+use std::hash::{Hash, Hasher};
+
 use crate::{FReg, Reg, Target};
 
 /// Memory space of a load or store: decided statically by the compiler,
@@ -332,6 +334,43 @@ impl Inst {
     }
 }
 
+/// Hashes the variant, then every field in declaration order. `FLi`
+/// hashes its value's bit pattern (an `f64` has no `Hash`), so two NaN
+/// payloads hash apart, and so do `0.0` and `-0.0`, which compare equal
+/// but print apart in a listing.
+impl Hash for Inst {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            Inst::Alu { op, rd, rs, rt } => (op, rd, rs, rt).hash(state),
+            Inst::AluI { op, rd, rs, imm } => (op, rd, rs, imm).hash(state),
+            Inst::Fpu { op, fd, fs, ft } => (op, fd, fs, ft).hash(state),
+            Inst::FpuCmp { op, rd, fs, ft } => (op, rd, fs, ft).hash(state),
+            Inst::FLi { fd, val } => (fd, val.to_bits()).hash(state),
+            Inst::CvtIF { fd, rs: r } | Inst::MovIF { fd, rs: r } => (fd, r).hash(state),
+            Inst::CvtFI { rd: r, fs } | Inst::MovFI { rd: r, fs } => (r, fs).hash(state),
+            Inst::FSqrt { fd, fs } => (fd, fs).hash(state),
+            Inst::Load { space, rd: r, base, offset, hint }
+            | Inst::Store { space, rs: r, base, offset, hint } => {
+                (space, r, base, offset, hint).hash(state)
+            }
+            Inst::FLoad { space, fd: f, base, offset }
+            | Inst::FStore { space, fs: f, base, offset } => (space, f, base, offset).hash(state),
+            Inst::LoadPair { space, fd1: f1, fd2: f2, base, offset }
+            | Inst::StorePair { space, fs1: f1, fs2: f2, base, offset } => {
+                (space, f1, f2, base, offset).hash(state)
+            }
+            Inst::FetchAdd { rd, rs, base, offset, hint } => {
+                (rd, rs, base, offset, hint).hash(state)
+            }
+            Inst::Branch { cond, rs, rt, target } => (cond, rs, rt, target).hash(state),
+            Inst::Jump { target } => target.hash(state),
+            Inst::SetPrio { level } => level.hash(state),
+            Inst::Switch | Inst::Halt | Inst::Nop => {}
+        }
+    }
+}
+
 /// The [`Inst::use_mask`] bit of integer register `r` (none for `r0`).
 fn int_bit(r: Reg) -> u64 {
     if r.is_zero() {
@@ -443,6 +482,32 @@ mod tests {
         assert!(Inst::Halt.is_control());
         assert!(Inst::Jump { target: Target::Label(0) }.is_control());
         assert!(!Inst::Switch.is_control());
+    }
+
+    fn hash_of(i: &Inst) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        i.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn hash_covers_variant_fields_and_fp_bits() {
+        assert_eq!(hash_of(&shared_load()), hash_of(&shared_load()));
+        // Same fields, different variant.
+        let Inst::Load { space, rd, base, offset, hint } = shared_load() else { unreachable!() };
+        let st = Inst::Store { space, rs: rd, base, offset, hint };
+        assert_ne!(hash_of(&shared_load()), hash_of(&st));
+        // One field apart.
+        let spin = Inst::Load { space, rd, base, offset, hint: AccessHint::Spin };
+        assert_ne!(hash_of(&shared_load()), hash_of(&spin));
+        // `FLi` hashes bit patterns: NaN payloads and signed zeros differ.
+        let fli = |val: f64| Inst::FLi { fd: FReg::new(1), val };
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        assert!(payload.is_nan());
+        assert_eq!(hash_of(&fli(quiet)), hash_of(&fli(quiet)));
+        assert_ne!(hash_of(&fli(quiet)), hash_of(&fli(payload)));
+        assert_ne!(hash_of(&fli(0.0)), hash_of(&fli(-0.0)));
     }
 
     #[test]

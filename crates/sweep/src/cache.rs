@@ -18,9 +18,12 @@
 //! * **Grouping and decoding are deduplicated by program content.** Some
 //!   applications emit the same program at every thread count (only
 //!   their input image differs), so grouped and decoded programs are
-//!   keyed by a content hash of the program rather than the full `(app,
+//!   keyed by the program's [`Program::content_key`] (its instructions
+//!   and local-memory size, not its name) rather than the full `(app,
 //!   scale, nthreads)` key — those apps pay for one grouping pass and
-//!   one decode per sweep, not one per thread-count axis value.
+//!   one decode per sweep, not one per thread-count axis value. The key
+//!   hashes the instructions directly, so a lookup never renders the
+//!   program as text and a hit allocates nothing.
 //!
 //! The cache's lifetime is the caller's choice: `run_sweep` creates a
 //! private one per sweep by default, while a long-running service
@@ -40,8 +43,6 @@ use mtsim_apps::{build_app, AppKind, BuiltApp, Scale};
 use mtsim_asm::Program;
 use mtsim_core::DecodedProgram;
 use mtsim_opt::GroupStats;
-
-use crate::checkpoint::fnv1a64;
 
 type Key = (AppKind, Scale, usize);
 /// A cached grouping-pass output: the rewritten image with its statistics.
@@ -64,12 +65,12 @@ impl<T> Entry<T> {
 #[derive(Default)]
 pub struct ArtifactCache {
     built: Mutex<HashMap<Key, Entry<Arc<BuiltApp>>>>,
-    /// Grouped programs keyed by the *content hash* of the source
+    /// Grouped programs keyed by the *content key* of the source
     /// program, so shape-invariant programs group once per sweep. The
     /// statistics ride along: they are a pure function of the same key.
     grouped: Mutex<HashMap<u64, Entry<Grouped>>>,
     /// Pre-decoded programs (DESIGN.md §20), also keyed by content
-    /// hash: the engine's dense decoded form is resolved once per
+    /// key: the engine's dense decoded form is resolved once per
     /// distinct program per cache lifetime, never per grid point.
     decoded: Mutex<HashMap<u64, Entry<Arc<DecodedProgram>>>>,
     hits: AtomicU64,
@@ -119,7 +120,7 @@ impl ArtifactCache {
         nthreads: usize,
     ) -> (Arc<Program>, Arc<GroupStats>, bool) {
         let (base, _) = self.built(app, scale, nthreads);
-        let content = fnv1a64(base.program.listing().as_bytes());
+        let content = base.program.content_key();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut map = self.grouped.lock().unwrap();
@@ -138,11 +139,11 @@ impl ArtifactCache {
     }
 
     /// The pre-decoded form of `program`, decoding it on first use. Like
-    /// grouped programs, decoded programs are keyed by content hash, so
+    /// grouped programs, decoded programs are keyed by content key, so
     /// shape-invariant applications decode once per sweep regardless of
     /// the thread-count axis. The boolean is true on a cache hit.
     pub fn decoded(&self, program: &Program) -> (Arc<DecodedProgram>, bool) {
-        let content = fnv1a64(program.listing().as_bytes());
+        let content = program.content_key();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut map = self.decoded.lock().unwrap();

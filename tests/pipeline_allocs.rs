@@ -1,6 +1,6 @@
-//! Host-independent work counter for the replay compile pipeline: heap
-//! allocations made by `compile`, `group_shared_loads` and
-//! `DecodedProgram::decode` on the 600-event x 16-thread synthetic trace.
+//! Host-independent work counters: heap allocations made by `compile`,
+//! `group_shared_loads` and `DecodedProgram::decode` on the 600-event x
+//! 16-thread synthetic trace, and by the artifact cache's warm lookups.
 //!
 //! Wall time on a shared host is too noisy to gate on; an allocation count
 //! is exact. Each stage's bound grows with the trace's threads or the
@@ -9,8 +9,10 @@
 //! calling thread's allocations are counted, so tests running beside this
 //! one in other threads do not disturb it.
 
+use mtsim::apps::{AppKind, Scale};
 use mtsim::core::DecodedProgram;
 use mtsim::opt::group_shared_loads;
+use mtsim::sweep::ArtifactCache;
 use mtsim_replay::{compile, synthesize};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,4 +94,24 @@ fn replay_pipeline_allocations_scale_with_threads_and_blocks() {
     assert!(group_allocs <= 4 * blocks + LOG_SLACK, "group_shared_loads: {report}");
     // Decode: the shared table itself.
     assert!(decode_allocs <= 2, "decode: {report}");
+}
+
+#[test]
+fn warm_artifact_cache_lookups_allocate_nothing() {
+    // The lookups `run_one` makes for one switch-on-load point (built,
+    // decoded) and one explicit-switch point (built, grouped, decoded of
+    // the grouped image).
+    let lookups = |cache: &ArtifactCache| {
+        let (app, _) = cache.built(AppKind::Sor, Scale::Small, 4);
+        cache.decoded(&app.program);
+        cache.built(AppKind::Water, Scale::Small, 2);
+        let (grouped, _, _) = cache.grouped(AppKind::Water, Scale::Small, 2);
+        cache.decoded(&grouped);
+    };
+    let cache = ArtifactCache::new();
+    lookups(&cache);
+    let misses = cache.misses();
+    let (_, allocs) = counted(|| lookups(&cache));
+    assert_eq!(cache.misses(), misses, "the repeat must hit every entry");
+    assert_eq!(allocs, 0, "warm lookups made {allocs} allocations");
 }
