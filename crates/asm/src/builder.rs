@@ -461,6 +461,11 @@ impl ProgramBuilder {
         self.local.alloc(words) as i64
     }
 
+    /// Words of per-thread local memory allocated so far.
+    pub fn local_words(&self) -> u64 {
+        self.local.size()
+    }
+
     // ------------------------------------------------------------------
     // Finishing
     // ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 use crate::ast::{BinOp, Expr, Item, LValue, Stmt, Ty};
 use crate::parser::Unit;
-use crate::CompileError;
+use crate::{CompileError, MAX_LOCAL_WORDS, MAX_SHARED_WORDS};
 use mtsim_asm::{FExpr, IExpr, Program, ProgramBuilder, SharedLayout};
 use mtsim_isa::{AccessHint, AluOp, CmpOp};
 use mtsim_rt::{Barrier, TicketLock};
@@ -56,6 +56,22 @@ fn err(line: usize, col: usize, message: impl Into<String>) -> CompileError {
     CompileError { line, col, message: message.into() }
 }
 
+/// Refuses `words` more words of `what` memory when they would take
+/// `total` past `cap`.
+fn reserve(
+    total: u64,
+    words: u64,
+    cap: u64,
+    what: &str,
+    line: usize,
+    col: usize,
+) -> Result<(), CompileError> {
+    match total.checked_add(words) {
+        Some(n) if n <= cap => Ok(()),
+        _ => Err(err(line, col, format!("{what} memory would exceed the cap of {cap} words"))),
+    }
+}
+
 struct Cg {
     scopes: Vec<HashMap<String, Sym>>,
 }
@@ -99,6 +115,7 @@ pub(crate) fn generate(
                 if words == 0 {
                     return Err(err(*line, *col, "zero-length shared array"));
                 }
+                reserve(layout.size(), words, MAX_SHARED_WORDS, "shared", *line, *col)?;
                 let addr = layout.alloc(name.clone(), words) as i64;
                 let sym = match len {
                     Some(n) => Sym::SharedArray { ty: *ty, addr, len: *n },
@@ -159,6 +176,7 @@ fn gen_stmt(cg: &mut Cg, b: &mut ProgramBuilder, stmt: &Stmt) -> Result<(), Comp
             if *len == 0 {
                 return Err(err(*line, *col, "zero-length local array"));
             }
+            reserve(b.local_words(), *len, MAX_LOCAL_WORDS, "local", *line, *col)?;
             let base = b.local_alloc(*len);
             cg.declare(name, Sym::LocalArray { ty: *ty, base, len: *len }, *line, *col)
         }

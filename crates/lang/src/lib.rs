@@ -59,6 +59,14 @@ mod parser;
 
 pub use codegen::CompiledUnit;
 
+/// Most shared words one unit may declare. Each `shared` declaration is
+/// checked against everything declared before it; a lock or a barrier
+/// takes two words.
+pub const MAX_SHARED_WORDS: u64 = 1 << 20;
+
+/// Most local words each thread of a unit may declare.
+pub const MAX_LOCAL_WORDS: u64 = 1 << 12;
+
 /// A source-located compile error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
@@ -86,7 +94,9 @@ impl std::error::Error for CompileError {}
 /// # Errors
 ///
 /// Returns the first lexical, syntactic, or type error with its source
-/// position.
+/// position. An array that takes the unit's shared words past
+/// [`MAX_SHARED_WORDS`], or a thread's local words past
+/// [`MAX_LOCAL_WORDS`], is an error at that array.
 pub fn compile(name: &str, source: &str, nthreads: usize) -> Result<CompiledUnit, CompileError> {
     let tokens = lexer::lex(source)?;
     let unit = parser::parse(&tokens)?;

@@ -228,3 +228,36 @@ fn constant_indices_are_bounds_checked() {
     let e = compile("oob", "fn main() { local int s[2]; s[2] = 0; }", 1).unwrap_err();
     assert!(e.message.contains("out of bounds"), "{e}");
 }
+
+/// Array sizes are summed with checked arithmetic and capped, so a unit
+/// never asks for a wrapped or unbounded memory: three arrays of 9e18
+/// words used to wrap and place the third at a small base.
+#[test]
+fn array_sizes_past_the_caps_are_errors_at_the_array() {
+    use mtsim_lang::{MAX_LOCAL_WORDS, MAX_SHARED_WORDS};
+    let huge = "9000000000000000000";
+    let src = format!(
+        "shared int a[{huge}];\nshared int b[{huge}];\nshared int c[{huge}];\nfn main() {{ }}"
+    );
+    let e = compile("wrap", &src, 1).unwrap_err();
+    assert_eq!((e.line, e.col), (1, 12), "{e}");
+    assert!(e.message.contains(&format!("cap of {MAX_SHARED_WORDS} words")), "{e}");
+
+    // The cap itself fits; one word more is refused at the array that
+    // crosses it, counting the lock declared before it.
+    let half = MAX_SHARED_WORDS / 2;
+    let fits = format!("shared int a[{half}];\nshared float b[{}];\nfn main() {{ }}", half);
+    assert_eq!(compile("fits", &fits, 1).unwrap().shared_words(), MAX_SHARED_WORDS);
+    let over = format!("lock l;\nshared int a[{half}];\n  shared int b[{half}];\nfn main() {{ }}");
+    let e = compile("over", &over, 1).unwrap_err();
+    assert_eq!((e.line, e.col), (3, 14), "{e}");
+
+    let local = |n: u64| format!("fn main() {{\n    local int s[{n}];\n    local float t[1];\n}}");
+    let unit = compile("local", &local(MAX_LOCAL_WORDS - 1), 1).unwrap();
+    assert_eq!(unit.program.local_words(), MAX_LOCAL_WORDS);
+    let e = compile("local", &local(MAX_LOCAL_WORDS), 1).unwrap_err();
+    assert_eq!((e.line, e.col), (3, 17), "{e}");
+    assert!(e.message.starts_with("local memory"), "{e}");
+    let e = compile("local", &local(u64::MAX >> 1), 1).unwrap_err();
+    assert_eq!((e.line, e.col), (2, 15), "{e}");
+}
