@@ -129,6 +129,9 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Full];
+
     /// Display name, usable as a CLI/spec-file value.
     pub fn name(self) -> &'static str {
         match self {
@@ -140,12 +143,7 @@ impl Scale {
 
     /// Parses a display name back to the scale.
     pub fn from_name(name: &str) -> Option<Scale> {
-        match name {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
+        Scale::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 

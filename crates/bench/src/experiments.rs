@@ -9,10 +9,8 @@
 use mtsim_apps::{
     app_builder, baseline_cycles, build_app, efficiency, run_app, run_program, AppKind, Scale,
 };
-use mtsim_core::{
-    MachineConfig, NetworkConfig, NoopRecorder, RunLengthHist, RunStats, SwitchModel, Topology,
-};
-use mtsim_sweep::{run_job_specs, JobOutcome, JobSpec, OptChoice, SweepOpts};
+use mtsim_core::{MachineConfig, NoopRecorder, RunLengthHist, RunStats, SwitchModel, Topology};
+use mtsim_sweep::{run_job_specs, JobOutcome, JobSpec, SweepOpts};
 
 /// Watchdog for every experiment run (generous; catches deadlocks).
 const MAX_CYCLES: u64 = 300_000_000;
@@ -237,17 +235,9 @@ fn baseline_job(id: usize, app: AppKind, scale: Scale) -> JobSpec {
         procs: 1,
         threads_per_proc: 1,
         latency: 0,
-        seed: 0,
-        drop_rate: 0.0,
-        net: Topology::Constant,
-        opt: OptChoice::Auto,
-        link_bw: NetworkConfig::constant().link_bw,
-        combining: false,
-        attr: false,
         scale,
         max_cycles: MAX_CYCLES,
-        max_retries: 8,
-        smt_width: mtsim_core::DEFAULT_SMT_WIDTH,
+        ..JobSpec::default()
     }
 }
 

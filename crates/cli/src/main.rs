@@ -134,7 +134,7 @@ use mtsim_core::{
 };
 use mtsim_mem::FaultConfig;
 use mtsim_opt::{GroupStats, OptLevel};
-use mtsim_sweep::{OptChoice, SweepOpts, SweepSpec};
+use mtsim_sweep::{OptChoice, SweepOpts, SweepSpec, KNOBS};
 
 /// The simulation ran and failed (typed `SimError` or wrong results).
 const EXIT_RUN_FAILED: i32 = 1;
@@ -155,6 +155,12 @@ fn usage() -> ! {
         SwitchModel::ALL.map(|m| m.name()).join(", ") + " (smt takes smt:<width>)"
     );
     std::process::exit(EXIT_USAGE);
+}
+
+/// Reports `msg` on stderr and exits with `code`.
+fn die(code: i32, msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code);
 }
 
 /// Reports a usage/configuration error and exits with code 2.
@@ -320,32 +326,16 @@ fn main() {
             value_flags.extend(NET_FLAGS);
             cmd_run_file(&Args::parse(&value_flags, &["stats", "combining"]))
         }
-        Some("sweep") => cmd_sweep(&Args::parse(
-            &[
-                "spec",
-                "apps",
-                "models",
-                "p",
-                "t",
-                "latency",
-                "seeds",
-                "drop",
-                "net",
-                "opt",
-                "link-bw",
-                "smt-width",
-                "scale",
-                "max-cycles",
-                "max-retries",
-                "jobs",
-                "out",
-                "csv",
-                "resume",
-                "job-timeout",
-                "retries",
-            ],
-            &["quiet", "combining", "attr"],
-        )),
+        Some("sweep") => {
+            let mut value_flags =
+                vec!["spec", "jobs", "out", "csv", "resume", "job-timeout", "retries"];
+            let mut boolean = vec!["quiet"];
+            for knob in KNOBS {
+                let flags = if knob.boolean { &mut boolean } else { &mut value_flags };
+                flags.push(knob.flag());
+            }
+            cmd_sweep(&Args::parse(&value_flags, &boolean))
+        }
         Some("check") => cmd_check(&Args::parse(
             &["fuzz", "seed", "jobs", "shrink-budget", "chaos"],
             &["deep", "bless"],
@@ -390,10 +380,8 @@ fn cmd_serve(args: &Args) {
         queue_cap,
         cache_cap,
     };
-    let server = mtsim_serve::Server::bind(cfg).unwrap_or_else(|e| {
-        eprintln!("error: cannot start server: {e}");
-        std::process::exit(EXIT_RUN_FAILED);
-    });
+    let server = mtsim_serve::Server::bind(cfg)
+        .unwrap_or_else(|e| die(EXIT_RUN_FAILED, format!("error: cannot start server: {e}")));
     // The authoritative address line (stdout, flushed): with --port 0
     // the kernel picks the port, and scripts parse it from here.
     match server.local_addr() {
@@ -402,14 +390,10 @@ fn cmd_serve(args: &Args) {
             println!("mtsim-serve listening on {local}");
             let _ = std::io::stdout().flush();
         }
-        Err(e) => {
-            eprintln!("error: cannot read bound address: {e}");
-            std::process::exit(EXIT_RUN_FAILED);
-        }
+        Err(e) => die(EXIT_RUN_FAILED, format!("error: cannot read bound address: {e}")),
     }
     if let Err(e) = server.run() {
-        eprintln!("error: {e}");
-        std::process::exit(EXIT_RUN_FAILED);
+        die(EXIT_RUN_FAILED, format!("error: {e}"));
     }
 }
 
@@ -478,50 +462,24 @@ fn cmd_check(args: &Args) {
     }
 }
 
-/// Grid-axis flags forwarded verbatim to [`SweepSpec::set`].
-const SWEEP_KEYS: [&str; 13] = [
-    "apps",
-    "models",
-    "p",
-    "t",
-    "latency",
-    "seeds",
-    "drop",
-    "net",
-    "opt",
-    "link-bw",
-    "smt-width",
-    "max-cycles",
-    "max-retries",
-];
-
 fn cmd_sweep(args: &Args) {
     use std::io::IsTerminal;
 
     // Spec file first, explicit flags override.
     let mut spec = match args.get("spec") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(EXIT_USAGE);
-            });
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot read {path}: {e}")));
             SweepSpec::parse_file(&text).unwrap_or_else(|e| bad_usage(&format!("{path}: {e}")))
         }
         None => SweepSpec::default(),
     };
-    for key in SWEEP_KEYS {
-        if let Some(value) = args.get(key) {
-            spec.set(key, value).unwrap_or_else(|e| bad_usage(&e));
+    for knob in KNOBS {
+        let flag = knob.flag();
+        let value = if knob.boolean { args.has(flag).then_some("true") } else { args.get(flag) };
+        if let Some(value) = value {
+            spec.set(flag, value).unwrap_or_else(|e| bad_usage(&e));
         }
-    }
-    if args.has("combining") {
-        spec.set("combining", "true").unwrap_or_else(|e| bad_usage(&e));
-    }
-    if args.has("attr") {
-        spec.set("attr", "true").unwrap_or_else(|e| bad_usage(&e));
-    }
-    if let Some(s) = args.get("scale") {
-        spec.scale = parse_scale(s);
     }
 
     let workers = flag_or_die(flags::resolve_jobs(args.get("jobs")));
@@ -557,30 +515,22 @@ fn cmd_sweep(args: &Args) {
     let out = match run {
         Ok(out) => out,
         Err(e @ mtsim_sweep::SweepError::Aborted { .. }) => {
-            eprintln!("error: {e}");
-            std::process::exit(EXIT_ABORTED);
+            die(EXIT_ABORTED, format!("error: {e}"))
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
+        Err(e) => die(EXIT_USAGE, format!("error: {e}")),
     };
 
     // Deterministic table to the requested sinks; CSV to stdout when no
     // file was asked for.
     let mut wrote_file = false;
     if let Some(path) = args.get("out") {
-        std::fs::write(path, out.results_json() + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        });
+        std::fs::write(path, out.results_json() + "\n")
+            .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot write {path}: {e}")));
         wrote_file = true;
     }
     if let Some(path) = args.get("csv") {
-        std::fs::write(path, out.results_csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(EXIT_USAGE);
-        });
+        std::fs::write(path, out.results_csv())
+            .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot write {path}: {e}")));
         wrote_file = true;
     }
     if !wrote_file {
@@ -704,16 +654,11 @@ fn cmd_opt(args: &Args) {
 
 fn read_and_compile(args: &Args, nthreads: usize) -> mtsim_lang::CompiledUnit {
     let Some(path) = args.positional.get(1) else { usage() };
-    let source = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(EXIT_USAGE);
-    });
+    let source = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot read {path}: {e}")));
     match mtsim_lang::compile(path, &source, nthreads) {
         Ok(unit) => unit,
-        Err(e) => {
-            eprintln!("{path}:{e}");
-            std::process::exit(EXIT_RUN_FAILED);
-        }
+        Err(e) => die(EXIT_RUN_FAILED, format!("{path}:{e}")),
     }
 }
 
@@ -776,8 +721,7 @@ fn machine_config(
     cfg.fault = fault_config(args);
     cfg.net = net_from_args(args);
     if let Err(e) = cfg.try_validate() {
-        eprintln!("error: invalid configuration: {e}");
-        std::process::exit(EXIT_USAGE);
+        die(EXIT_USAGE, format!("error: invalid configuration: {e}"));
     }
     cfg
 }
@@ -785,10 +729,7 @@ fn machine_config(
 /// Unwraps a simulation outcome, reporting a failed run (typed
 /// `SimError` or wrong results) on stderr with exit code 1.
 fn run_or_die<T>(run: Result<T, impl std::fmt::Display>) -> T {
-    run.unwrap_or_else(|e| {
-        eprintln!("run failed: {e}");
-        std::process::exit(EXIT_RUN_FAILED);
-    })
+    run.unwrap_or_else(|e| die(EXIT_RUN_FAILED, format!("run failed: {e}")))
 }
 
 /// Prints the modeled-network summary line when a network was simulated.
@@ -901,21 +842,15 @@ fn cmd_replay(args: &Args) {
     }
 
     let compile_or_die = |events: &[mtsim_mem::TraceEvent], what: &str| {
-        mtsim_replay::compile(events).unwrap_or_else(|e| {
-            eprintln!("error: {what}: {e}");
-            std::process::exit(EXIT_USAGE);
-        })
+        mtsim_replay::compile(events)
+            .unwrap_or_else(|e| die(EXIT_USAGE, format!("error: {what}: {e}")))
     };
     let tp = match (args.positional.get(1), args.get("synth")) {
         (Some(path), None) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(EXIT_USAGE);
-            });
-            let events = mtsim_trace::load_trace(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(EXIT_USAGE);
-            });
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot read {path}: {e}")));
+            let events = mtsim_trace::load_trace(&text)
+                .unwrap_or_else(|e| die(EXIT_USAGE, format!("error: {path}: {e}")));
             compile_or_die(&events, path)
         }
         (None, Some(seed)) => {
@@ -1098,10 +1033,8 @@ fn cmd_profile(args: &Args) {
     let r = run_or_die(run_program(&app, &program, cfg.clone(), &mut rec));
 
     let out_path = args.get("out").unwrap_or("trace.json");
-    std::fs::write(out_path, rec.chrome_trace()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_USAGE);
-    });
+    std::fs::write(out_path, rec.chrome_trace())
+        .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot write {out_path}: {e}")));
 
     println!("{app_name} on {model}: {procs} procs x {threads} threads (scale {scale:?})");
     println!("  cycles        {}", r.cycles);

@@ -12,6 +12,14 @@
 //! [`mtsim_core::RunStats`] into a result table whose JSON/CSV renderings
 //! are byte-identical at any worker count.
 //!
+//! Every sweep key is one row of [`KNOBS`]: its canonical name, its
+//! aliases (the `mtsim sweep` flag first), its parser, its canonical
+//! rendering and, for an axis, how each job takes one of its values.
+//! [`SweepSpec::set`], [`SweepSpec::parse_file`], [`SweepSpec::canonical`],
+//! [`SweepSpec::len`], [`SweepSpec::expand`] and the CLI's sweep flags all
+//! read that one table. Every axis lists at most [`MAX_AXIS_VALUES`]
+//! values, and a grid has at most [`MAX_GRID_POINTS`] points.
+//!
 //! On top of that sits a crash-safe execution layer (DESIGN.md §18):
 //! completed jobs stream to an fsync'd, checksummed `.jsonl` checkpoint
 //! the moment they finish; [`resume_sweep`] re-derives the remaining
@@ -53,7 +61,8 @@ pub use checkpoint::{load_checkpoint, spec_hash, Checkpoint, SweepError};
 pub use pool::{default_workers, jobs_from_env, run_jobs, run_jobs_partial, Watchdog};
 pub use results::{JobError, JobOutcome, OptCols, SweepOutcome};
 pub use spec::{
-    JobSpec, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES, MAX_AXIS_VALUES, MAX_GRID_POINTS,
+    JobSpec, Knob, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES, KNOBS, MAX_AXIS_VALUES,
+    MAX_GRID_POINTS,
 };
 pub use stream::StreamWriter;
 

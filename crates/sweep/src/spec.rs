@@ -1,4 +1,7 @@
 //! Declarative sweep specifications and their expansion into jobs.
+//!
+//! [`KNOBS`] lists every sweep key once; parsing, the canonical text,
+//! the grid size, the empty-axis check and expansion all iterate it.
 
 use mtsim_apps::{AppKind, Scale};
 use mtsim_core::{MachineConfig, NetworkConfig, SwitchModel, Topology, DEFAULT_SMT_WIDTH};
@@ -21,6 +24,10 @@ pub enum OptChoice {
 }
 
 impl OptChoice {
+    /// Every choice, `auto` first, then each level in [`OptLevel::ALL`] order.
+    pub const ALL: [OptChoice; 1 + OptLevel::ALL.len()] =
+        [OptChoice::Auto, OptChoice::Level(OptLevel::ALL[0]), OptChoice::Level(OptLevel::ALL[1])];
+
     /// Stable lowercase name (spec key / column value).
     pub fn name(self) -> &'static str {
         match self {
@@ -42,10 +49,7 @@ impl OptChoice {
 
     /// Parses a [`name`](OptChoice::name) back into a choice.
     pub fn from_name(s: &str) -> Option<OptChoice> {
-        if s == "auto" {
-            return Some(OptChoice::Auto);
-        }
-        OptLevel::from_name(s).map(OptChoice::Level)
+        OptChoice::ALL.into_iter().find(|o| o.name() == s)
     }
 }
 
@@ -79,7 +83,7 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
     /// Reply drop rates (0.0 disables fault injection for that point).
     pub drop_rates: Vec<f64>,
-    /// Interconnection-network topologies (PR 4). `Constant` is the
+    /// Interconnection-network topologies. `Constant` is the
     /// paper's contention-free pipe and simulates no network at all.
     pub nets: Vec<Topology>,
     /// Optimizer axis: `auto`, `none` or `intra`. The default `[Auto]`
@@ -110,8 +114,8 @@ pub struct SweepSpec {
 /// Watchdog default: generous enough for every `Small`-scale table run.
 pub const DEFAULT_MAX_CYCLES: u64 = 300_000_000;
 
-/// Most values one integer axis may list, counting each value of a
-/// `LO-HI` range.
+/// Most values one axis may list, counting each value of a `LO-HI`
+/// range.
 pub const MAX_AXIS_VALUES: usize = 4096;
 
 /// Most grid points one sweep may expand to.
@@ -140,57 +144,105 @@ impl Default for SweepSpec {
     }
 }
 
+/// One sweep key: how [`SweepSpec::set`] parses it, how
+/// [`SweepSpec::canonical`] writes it, and how [`SweepSpec::expand`] puts
+/// it into each [`JobSpec`]. [`KNOBS`] holds one row per key.
+pub struct Knob {
+    /// The key as the canonical text writes it.
+    pub key: &'static str,
+    /// Every spelling [`SweepSpec::set`] accepts, the `mtsim sweep` flag
+    /// (without `--`) first.
+    pub aliases: &'static [&'static str],
+    /// Whether the flag takes no value and sets the key to `true`.
+    pub boolean: bool,
+    /// Parses a trimmed value into the spec, leaving it as it was on error.
+    set: fn(&mut SweepSpec, &str) -> Parsed<()>,
+    /// The canonical value text, or `None` when the key is omitted.
+    render: fn(&SweepSpec) -> Option<String>,
+    /// How many values the axis has; 1 for a scalar, which every job shares.
+    values: fn(&SweepSpec) -> usize,
+    /// Copies value `i` of this key into a job.
+    pick: fn(&SweepSpec, usize, &mut JobSpec),
+}
+
+impl Knob {
+    /// The `mtsim sweep` flag, without `--`.
+    pub fn flag(&self) -> &'static str {
+        self.aliases[0]
+    }
+}
+
+/// Builds a [`Knob`] row from a [`SweepSpec`] field, the [`JobSpec`]
+/// field each job copies it into, and the value parser. An `axis` field
+/// is a list, each job taking one value; a `scalar` is one value every
+/// job shares; a `switch` is a boolean scalar whose flag takes no value.
+macro_rules! knob {
+    (@values axis $field:expr) => { &$field[..] };
+    (@values scalar $field:expr) => { std::slice::from_ref(&$field) };
+    (scalar $key:literal $aliases:tt $field:ident, $parse:expr) => {
+        knob!(scalar $key $aliases $field -> $field, $parse)
+    };
+    (switch $key:literal $field:ident) => {
+        Knob { boolean: true, ..knob!(scalar $key [$key] $field, parse_bool) }
+    };
+    ($shape:ident $key:literal [$($alias:literal),+] $spec:ident -> $job:ident, $parse:expr) => {
+        Knob {
+            key: $key,
+            aliases: &[$($alias),+],
+            boolean: false,
+            set: |s, v| {
+                let parse: fn(&str) -> Parsed<_> = $parse;
+                parse(v).map(|x| s.$spec = x)
+            },
+            render: |s| Some(join(knob!(@values $shape s.$spec), ",")),
+            values: |s| knob!(@values $shape s.$spec).len(),
+            pick: |s, i, job| job.$job = knob!(@values $shape s.$spec)[i],
+        }
+    };
+}
+
+/// Every sweep key, in canonical-text order. The axes nest in this order
+/// too, the last innermost: app, model, P, T, latency, seed, drop rate,
+/// net, opt.
+pub const KNOBS: &[Knob] = &[
+    knob!(axis "apps" ["apps", "app"] apps -> app, |v| names(v, &AppKind::ALL, "app")),
+    knob!(axis "models" ["models", "model"] models -> model,
+        |v| names(v, &SwitchModel::ALL, "model")),
+    knob!(axis "procs" ["p", "procs"] procs -> procs, usize_list),
+    knob!(axis "threads" ["t", "threads"] threads -> threads_per_proc, usize_list),
+    knob!(axis "latencies" ["latency", "latencies"] latencies -> latency, u64_list),
+    knob!(axis "seeds" ["seeds", "seed"] seeds -> seed, u64_list),
+    knob!(axis "drop_rates" ["drop", "drop-rates", "drop_rates"] drop_rates -> drop_rate,
+        f64_list),
+    knob!(axis "nets" ["net", "nets"] nets -> net, |v| names(v, &Topology::ALL, "topology")),
+    knob!(axis "opts" ["opt", "opts", "opt-level", "opt_level"] opts -> opt,
+        |v| names(v, &OptChoice::ALL, "opt level")),
+    knob!(scalar "link_bw" ["link-bw", "link_bw"] link_bw, parse_int),
+    knob!(switch "combining" combining),
+    knob!(switch "attr" attr),
+    knob!(scalar "scale" ["scale"] scale, |v| name(v, &Scale::ALL, "scale")),
+    knob!(scalar "max_cycles" ["max-cycles", "max_cycles"] max_cycles, parse_int),
+    knob!(scalar "max_retries" ["max-retries", "max_retries"] max_retries, parse_int),
+    Knob {
+        // Omitted at its default; see `SweepSpec::smt_width`.
+        render: |s| (s.smt_width != DEFAULT_SMT_WIDTH).then(|| s.smt_width.to_string()),
+        ..knob!(scalar "smt_width" ["smt-width", "smt_width"] smt_width, parse_int)
+    },
+];
+
 impl SweepSpec {
-    /// Sets one axis or scalar from its spec-file/CLI key. Lists are
-    /// comma-separated; integer axes also accept `LO-HI` ranges
-    /// (`t = 1-8`); `apps`/`models` accept `all`.
+    /// Sets one axis or scalar from any spelling of its [`KNOBS`] key.
+    /// Lists are comma-separated and hold at most [`MAX_AXIS_VALUES`]
+    /// values; integer axes also accept `LO-HI` ranges (`t = 1-8`);
+    /// `apps`, `models`, `nets` and `opts` accept `all`.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending key/value.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        let value = value.trim();
-        match key {
-            "apps" | "app" => self.apps = names(value, &AppKind::ALL, AppKind::from_name, "app")?,
-            "models" | "model" => {
-                self.models = names(value, &SwitchModel::ALL, SwitchModel::from_name, "model")?
-            }
-            "p" | "procs" => self.procs = parse_usize_list(value).map_err(|e| ctx(key, &e))?,
-            "t" | "threads" => self.threads = parse_usize_list(value).map_err(|e| ctx(key, &e))?,
-            "latency" | "latencies" => {
-                self.latencies = parse_u64_list(value).map_err(|e| ctx(key, &e))?
-            }
-            "seeds" | "seed" => self.seeds = parse_u64_list(value).map_err(|e| ctx(key, &e))?,
-            "drop" | "drop-rates" | "drop_rates" => {
-                self.drop_rates = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse::<f64>().map_err(|_| ctx(key, &format!("bad float {s:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "net" | "nets" => {
-                self.nets = names(value, &Topology::ALL, Topology::from_name, "topology")?
-            }
-            "opt" | "opts" | "opt-level" | "opt_level" => {
-                let all: Vec<OptChoice> = std::iter::once(OptChoice::Auto)
-                    .chain(OptLevel::ALL.into_iter().map(OptChoice::Level))
-                    .collect();
-                self.opts = names(value, &all, OptChoice::from_name, "opt level")?;
-            }
-            "link-bw" | "link_bw" => self.link_bw = parse_int(key, value)?,
-            "combining" => self.combining = parse_bool(key, value)?,
-            "attr" => self.attr = parse_bool(key, value)?,
-            "scale" => {
-                self.scale =
-                    Scale::from_name(value).ok_or_else(|| format!("unknown scale {value:?}"))?;
-            }
-            "max-cycles" | "max_cycles" => self.max_cycles = parse_int(key, value)?,
-            "max-retries" | "max_retries" => self.max_retries = parse_int(key, value)?,
-            "smt-width" | "smt_width" => self.smt_width = parse_int(key, value)?,
-            _ => return Err(format!("unknown sweep key {key:?}")),
-        }
-        Ok(())
+        let knob = KNOBS.iter().find(|k| k.aliases.contains(&key));
+        let knob = knob.ok_or_else(|| format!("unknown sweep key {key:?}"))?;
+        (knob.set)(self, value.trim()).map_err(|e| format!("key {key:?}: {e}"))
     }
 
     /// Parses a spec file: one `key = value` per line, `#` comments and
@@ -220,20 +272,8 @@ impl SweepSpec {
     ///
     /// Returns a human-readable message naming the empty or invalid axis.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, empty) in [
-            ("apps", self.apps.is_empty()),
-            ("models", self.models.is_empty()),
-            ("procs", self.procs.is_empty()),
-            ("threads", self.threads.is_empty()),
-            ("latencies", self.latencies.is_empty()),
-            ("seeds", self.seeds.is_empty()),
-            ("drop rates", self.drop_rates.is_empty()),
-            ("nets", self.nets.is_empty()),
-            ("opt levels", self.opts.is_empty()),
-        ] {
-            if empty {
-                return Err(format!("sweep axis {name:?} is empty"));
-            }
+        if let Some(knob) = KNOBS.iter().find(|k| (k.values)(self) == 0) {
+            return Err(format!("sweep axis {:?} is empty", knob.key));
         }
         if self.procs.contains(&0) || self.threads.contains(&0) {
             return Err("processor and thread counts must be >= 1".into());
@@ -271,19 +311,7 @@ impl SweepSpec {
     /// Number of grid points without materializing them, saturating at
     /// `usize::MAX`.
     pub fn len(&self) -> usize {
-        [
-            self.apps.len(),
-            self.models.len(),
-            self.procs.len(),
-            self.threads.len(),
-            self.latencies.len(),
-            self.seeds.len(),
-            self.drop_rates.len(),
-            self.nets.len(),
-            self.opts.len(),
-        ]
-        .into_iter()
-        .fold(1, usize::saturating_mul)
+        KNOBS.iter().map(|k| (k.values)(self)).fold(1, usize::saturating_mul)
     }
 
     /// True when the grid has no points.
@@ -292,156 +320,109 @@ impl SweepSpec {
     }
 
     /// A canonical, order-stable rendering of every field that shapes the
-    /// grid or its results. Two specs produce byte-identical result
-    /// tables iff their canonical forms are equal, so the checkpoint
-    /// layer hashes this string to decide whether a resume is legal.
+    /// grid or its results, one `key=value` line per [`KNOBS`] row. Two
+    /// specs produce byte-identical result tables iff their canonical
+    /// forms are equal, so the checkpoint layer hashes this string to
+    /// decide whether a resume is legal.
     ///
     /// The rendering is itself a valid spec file:
     /// `parse_file(canonical())` reproduces the spec exactly, which is
     /// how `mtsim serve` persists submitted sweeps for restart-resume.
     pub fn canonical(&self) -> String {
-        fn list<T: std::fmt::Display>(items: &[T]) -> String {
-            items.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-        }
-        let mut out = format!(
-            "apps={}\nmodels={}\nprocs={}\nthreads={}\nlatencies={}\nseeds={}\n\
-             drop_rates={}\nnets={}\nopts={}\nlink_bw={}\ncombining={}\nattr={}\nscale={}\n\
-             max_cycles={}\nmax_retries={}\n",
-            self.apps.iter().map(|a| a.name()).collect::<Vec<_>>().join(","),
-            self.models.iter().map(|m| m.name()).collect::<Vec<_>>().join(","),
-            list(&self.procs),
-            list(&self.threads),
-            list(&self.latencies),
-            list(&self.seeds),
-            list(&self.drop_rates),
-            self.nets.iter().map(|n| n.name()).collect::<Vec<_>>().join(","),
-            self.opts.iter().map(|o| o.name()).collect::<Vec<_>>().join(","),
-            self.link_bw,
-            self.combining,
-            self.attr,
-            self.scale.name(),
-            self.max_cycles,
-            self.max_retries,
-        );
-        // Rendered only when non-default so that pre-SMT canonical forms
-        // (and the checkpoint hashes derived from them) are byte-stable.
-        if self.smt_width != DEFAULT_SMT_WIDTH {
-            out.push_str(&format!("smt_width={}\n", self.smt_width));
-        }
-        out
+        KNOBS.iter().filter_map(|k| Some(format!("{}={}\n", k.key, (k.render)(self)?))).collect()
     }
 
-    /// Expands the grid into concrete jobs in deterministic nested-axis
-    /// order (app, model, P, T, latency, seed, drop rate, net, opt),
+    /// Expands the grid into concrete jobs in the nested axis order of
+    /// [`KNOBS`] (app, model, P, T, latency, seed, drop rate, net, opt),
     /// assigning sequential ids. The id — not submission or completion
     /// order — keys the result table, so the output is reproducible at
     /// any worker count.
     pub fn expand(&self) -> Vec<JobSpec> {
-        let mut jobs = Vec::with_capacity(self.len());
-        for &app in &self.apps {
-            for &model in &self.models {
-                for &procs in &self.procs {
-                    for &threads_per_proc in &self.threads {
-                        for &latency in &self.latencies {
-                            for &seed in &self.seeds {
-                                for &drop_rate in &self.drop_rates {
-                                    for &net in &self.nets {
-                                        for &opt in &self.opts {
-                                            jobs.push(JobSpec {
-                                                id: jobs.len(),
-                                                app,
-                                                model,
-                                                procs,
-                                                threads_per_proc,
-                                                latency,
-                                                seed,
-                                                drop_rate,
-                                                net,
-                                                opt,
-                                                link_bw: self.link_bw,
-                                                combining: self.combining,
-                                                attr: self.attr,
-                                                scale: self.scale,
-                                                max_cycles: self.max_cycles,
-                                                max_retries: self.max_retries,
-                                                smt_width: self.smt_width,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let sizes: Vec<usize> = KNOBS.iter().map(|k| (k.values)(self)).collect();
+        let mut job = JobSpec::default();
+        (0..self.len())
+            .map(|id| {
+                // The id's mixed-radix digits, one per row, the last
+                // row's digit lowest.
+                let mut rest = id;
+                for (knob, &size) in KNOBS.iter().zip(&sizes).rev() {
+                    (knob.pick)(self, rest % size, &mut job);
+                    rest /= size;
                 }
-            }
-        }
-        jobs
+                JobSpec { id, ..job }
+            })
+            .collect()
     }
 }
 
-fn ctx(key: &str, e: &str) -> String {
-    format!("key {key:?}: {e}")
+/// A parsed value, or a message naming what is wrong with it.
+type Parsed<T> = Result<T, String>;
+
+/// Parses a comma-separated list of at most [`MAX_AXIS_VALUES`] values;
+/// `part` yields the values of one trimmed item (several for a range).
+fn list<I: Iterator>(value: &str, part: impl Fn(&str) -> Parsed<I>) -> Parsed<Vec<I::Item>> {
+    let mut out = Vec::new();
+    for item in value.split(',').map(str::trim) {
+        let values = part(item)?;
+        // Counted before collecting, as a range is materialized value by
+        // value: a range's size hint is its length, saturating.
+        if values.size_hint().0 > MAX_AXIS_VALUES - out.len() {
+            return Err(format!("{item:?} makes the list longer than {MAX_AXIS_VALUES} values"));
+        }
+        out.extend(values);
+    }
+    Ok(out)
+}
+
+/// The one of `every` whose display name is `value`.
+fn name<T: Copy + std::fmt::Display>(value: &str, every: &[T], what: &str) -> Parsed<T> {
+    let found = every.iter().copied().find(|x| x.to_string() == value);
+    found.ok_or_else(|| format!("unknown {what} {value:?} (want {})", join(every, ", ")))
 }
 
 /// A comma-separated list of names, or `all` for `every`.
-fn names<T: Copy>(
-    value: &str,
-    every: &[T],
-    from_name: impl Fn(&str) -> Option<T>,
-    what: &str,
-) -> Result<Vec<T>, String> {
+fn names<T: Copy + std::fmt::Display>(value: &str, every: &[T], what: &str) -> Parsed<Vec<T>> {
     if value == "all" {
         return Ok(every.to_vec());
     }
-    value
-        .split(',')
-        .map(|s| from_name(s.trim()).ok_or_else(|| format!("unknown {what} {:?}", s.trim())))
-        .collect()
-}
-
-fn parse_int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| ctx(key, &format!("bad integer {value:?}")))
-}
-
-fn parse_bool(key: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "true" | "1" | "on" | "yes" => Ok(true),
-        "false" | "0" | "off" | "no" => Ok(false),
-        _ => Err(ctx(key, &format!("bad boolean {value:?}"))),
-    }
-}
-
-fn parse_usize_list(value: &str) -> Result<Vec<usize>, String> {
-    parse_u64_list(value).map(|v| v.into_iter().map(|n| n as usize).collect())
+    list(value, |s| name(s, every, what).map(std::iter::once))
 }
 
 /// `"1,2,4"` and `"1-4"` (inclusive) both work, and mix: `"1,4-6"`.
-/// The list may hold at most [`MAX_AXIS_VALUES`] values.
-fn parse_u64_list(value: &str) -> Result<Vec<u64>, String> {
-    let mut out = Vec::new();
-    for part in value.split(',') {
-        let part = part.trim();
-        let (lo, hi) = match part.split_once('-') {
-            Some((lo, hi)) => {
-                let lo: u64 = lo.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
-                let hi: u64 = hi.trim().parse().map_err(|_| format!("bad range {part:?}"))?;
-                if lo > hi {
-                    return Err(format!("empty range {part:?}"));
-                }
-                (lo, hi)
-            }
-            None => {
-                let n = part.parse().map_err(|_| format!("bad integer {part:?}"))?;
-                (n, n)
-            }
-        };
-        // Checked before expanding: a range is materialized value by value.
-        if hi - lo >= (MAX_AXIS_VALUES - out.len()) as u64 {
-            return Err(format!("{part:?} makes the list longer than {MAX_AXIS_VALUES} values"));
+fn u64_list(value: &str) -> Parsed<Vec<u64>> {
+    list(value, |part| match part.split_once('-') {
+        Some((lo, hi)) => {
+            let bound = |b: &str| b.trim().parse().map_err(|_| format!("bad range {part:?}"));
+            let (lo, hi): (u64, u64) = (bound(lo)?, bound(hi)?);
+            (lo <= hi).then_some(lo..=hi).ok_or_else(|| format!("empty range {part:?}"))
         }
-        out.extend(lo..=hi);
+        None => part.parse().map(|n| n..=n).map_err(|_| format!("bad integer {part:?}")),
+    })
+}
+
+fn usize_list(value: &str) -> Parsed<Vec<usize>> {
+    let too_large = |n| format!("{n} is too large");
+    u64_list(value)?.into_iter().map(|n| usize::try_from(n).map_err(|_| too_large(n))).collect()
+}
+
+fn f64_list(value: &str) -> Parsed<Vec<f64>> {
+    list(value, |s| s.parse().map(std::iter::once).map_err(|_| format!("bad float {s:?}")))
+}
+
+fn parse_int<T: std::str::FromStr>(value: &str) -> Parsed<T> {
+    value.parse().map_err(|_| format!("bad integer {value:?}"))
+}
+
+fn parse_bool(value: &str) -> Parsed<bool> {
+    match value {
+        "true" | "1" | "on" | "yes" => Ok(true),
+        "false" | "0" | "off" | "no" => Ok(false),
+        _ => Err(format!("bad boolean {value:?}")),
     }
-    Ok(out)
+}
+
+fn join<T: std::fmt::Display>(items: &[T], sep: &str) -> String {
+    items.iter().map(T::to_string).collect::<Vec<_>>().join(sep)
 }
 
 /// One fully-specified grid point, ready to run.
@@ -484,6 +465,32 @@ pub struct JobSpec {
     /// Issue width when `model` is [`SwitchModel::Smt`]; ignored
     /// otherwise.
     pub smt_width: usize,
+}
+
+impl Default for JobSpec {
+    /// The first point of [`SweepSpec::default`]'s grid. [`SweepSpec::expand`]
+    /// starts from it, and each [`KNOBS`] row overwrites its own field.
+    fn default() -> JobSpec {
+        JobSpec {
+            id: 0,
+            app: AppKind::Sieve,
+            model: SwitchModel::SwitchOnLoad,
+            procs: 2,
+            threads_per_proc: 1,
+            latency: 200,
+            seed: 0,
+            drop_rate: 0.0,
+            net: Topology::Constant,
+            opt: OptChoice::Auto,
+            link_bw: NetworkConfig::constant().link_bw,
+            combining: false,
+            attr: false,
+            scale: Scale::Small,
+            max_cycles: DEFAULT_MAX_CYCLES,
+            max_retries: 8,
+            smt_width: DEFAULT_SMT_WIDTH,
+        }
+    }
 }
 
 impl JobSpec {
@@ -536,6 +543,7 @@ mod tests {
         assert_eq!(jobs[1].id, 1);
         assert_eq!(jobs[0].threads_per_proc, 1);
         assert_eq!(jobs[1].threads_per_proc, 2);
+        assert_eq!(jobs[0], JobSpec::default());
     }
 
     #[test]
@@ -550,6 +558,8 @@ mod tests {
         s.set("scale", "tiny").unwrap();
         assert_eq!(s.scale, Scale::Tiny);
         assert!(s.set("apps", "nonesuch").is_err());
+        let e = s.set("scale", "huge").unwrap_err();
+        assert_eq!(e, "key \"scale\": unknown scale \"huge\" (want tiny, small, full)");
         assert!(s.set("frobnicate", "1").is_err());
         assert!(s.set("t", "6-4").is_err());
     }
@@ -625,6 +635,13 @@ mod tests {
         assert_eq!(s.threads, SweepSpec::default().threads, "a failed set leaves the axis");
         s.set("t", &format!("1-{MAX_AXIS_VALUES}")).unwrap();
         assert_eq!(s.threads.len(), MAX_AXIS_VALUES);
+        // Name and float lists share the cap.
+        for (key, item) in [("drop", "0"), ("apps", "sieve")] {
+            let err = s.set(key, &vec![item; MAX_AXIS_VALUES + 1].join(",")).unwrap_err();
+            assert!(err.contains(key) && err.contains("4096"), "{err}");
+            s.set(key, &vec![item; MAX_AXIS_VALUES].join(",")).unwrap();
+        }
+        assert_eq!((s.drop_rates.len(), s.apps.len()), (MAX_AXIS_VALUES, MAX_AXIS_VALUES));
     }
 
     #[test]
