@@ -1,6 +1,9 @@
 //! Seeded synthetic traces with the locality/sharing knobs the
 //! `mtsim-trace` characterization measures.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use mtsim_mem::{TraceEvent, TraceKind};
 use mtsim_rng::Rng;
 
@@ -51,58 +54,88 @@ impl Default for SynthConfig {
 /// Words in the shared hot region (clamped to the address space).
 const HOT_WORDS: u64 = 16;
 
+/// One thread's event stream: its own RNG, clock and last address, so
+/// threads draw independently of how their events interleave.
+struct Stream {
+    rng: Rng,
+    /// Time of the stream's next event.
+    time: u64,
+    prev: u64,
+    left: usize,
+}
+
+impl Stream {
+    fn new(cfg: &SynthConfig, t: usize, words: u64) -> Stream {
+        let mut rng = Rng::derive(cfg.seed, &format!("replay-synth-{t}"));
+        let time = rng.below(16);
+        let prev = rng.below(words);
+        Stream { rng, time, prev, left: cfg.events_per_thread }
+    }
+
+    /// Draws the stream's next event (thread `t`) and advances its clock.
+    fn next(&mut self, cfg: &SynthConfig, t: u32, words: u64, hot: u64) -> TraceEvent {
+        let rng = &mut self.rng;
+        let addr = if rng.chance(cfg.sharing) {
+            rng.below(hot)
+        } else if rng.chance(cfg.locality) {
+            (self.prev + 1) % words
+        } else {
+            rng.below(words)
+        };
+        self.prev = addr;
+        let kind = if rng.chance(cfg.fa_fraction) {
+            TraceKind::FetchAdd
+        } else if rng.chance(cfg.pair_fraction) {
+            if rng.chance(0.5) {
+                TraceKind::ReadPair
+            } else {
+                TraceKind::WritePair
+            }
+        } else if rng.chance(cfg.write_fraction) {
+            TraceKind::Write
+        } else {
+            TraceKind::Read
+        };
+        // Pairs touch addr+1; keep both words in range.
+        let addr = match kind {
+            TraceKind::ReadPair | TraceKind::WritePair => addr.min(words - 2),
+            _ => addr,
+        };
+        let event = TraceEvent { time: self.time, proc: t, thread: t, kind, addr, spin: false };
+        self.time += 1 + rng.below(40);
+        self.left -= 1;
+        event
+    }
+}
+
 /// Generates a deterministic synthetic trace: per-thread streams with the
 /// configured stride locality and hot-region sharing, merged in event-time
 /// order. Same config → same trace, byte for byte.
 pub fn synthesize(cfg: &SynthConfig) -> Vec<TraceEvent> {
     let words = cfg.addr_words.max(2);
     let hot = HOT_WORDS.min(words);
+    let mut streams: Vec<Stream> = (0..cfg.threads).map(|t| Stream::new(cfg, t, words)).collect();
+    // A realistic interchange trace is globally time-ordered; ties break
+    // by thread id so the merge itself is deterministic. Each stream's
+    // times strictly increase, so the (time, thread) keys are unique and
+    // merging the streams by them gives the same order as sorting.
+    let mut heads: BinaryHeap<Reverse<(u64, u32)>> = streams
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.left > 0)
+        .map(|(t, s)| Reverse((s.time, t as u32)))
+        .collect();
     let mut events = Vec::with_capacity(cfg.threads * cfg.events_per_thread);
-    for t in 0..cfg.threads {
-        let mut rng = Rng::derive(cfg.seed, &format!("replay-synth-{t}"));
-        let mut time: u64 = rng.below(16);
-        let mut prev: u64 = rng.below(words);
-        for _ in 0..cfg.events_per_thread {
-            let addr = if rng.chance(cfg.sharing) {
-                rng.below(hot)
-            } else if rng.chance(cfg.locality) {
-                (prev + 1) % words
-            } else {
-                rng.below(words)
-            };
-            prev = addr;
-            let kind = if rng.chance(cfg.fa_fraction) {
-                TraceKind::FetchAdd
-            } else if rng.chance(cfg.pair_fraction) {
-                if rng.chance(0.5) {
-                    TraceKind::ReadPair
-                } else {
-                    TraceKind::WritePair
-                }
-            } else if rng.chance(cfg.write_fraction) {
-                TraceKind::Write
-            } else {
-                TraceKind::Read
-            };
-            // Pairs touch addr+1; keep both words in range.
-            let addr = match kind {
-                TraceKind::ReadPair | TraceKind::WritePair => addr.min(words - 2),
-                _ => addr,
-            };
-            events.push(TraceEvent {
-                time,
-                proc: t as u32,
-                thread: t as u32,
-                kind,
-                addr,
-                spin: false,
-            });
-            time += 1 + rng.below(40);
+    while let Some(mut head) = heads.peek_mut() {
+        let t = head.0 .1;
+        let stream = &mut streams[t as usize];
+        events.push(stream.next(cfg, t, words, hot));
+        if stream.left == 0 {
+            PeekMut::pop(head);
+        } else {
+            head.0 .0 = stream.time;
         }
     }
-    // A realistic interchange trace is globally time-ordered; ties break
-    // by thread id so the merge itself is deterministic.
-    events.sort_by_key(|e| (e.time, e.thread));
     events
 }
 
