@@ -4,7 +4,10 @@
 //! grammar on stderr; a size past a cap (threads, latency, replay
 //! events) exits 2 and names the cap; a replay probability outside
 //! [0, 1], or a synthetic address space outside [2, `MAX_ADDR_WORDS`],
-//! exits 2 and names the flag and the range.
+//! exits 2 and names the flag and the range. Untrusted files end in typed
+//! errors too: a checkpoint whose crc field splits a multi-byte character
+//! exits 2 on `--resume`, and one inside an unterminated `.mtc` block
+//! comment exits 1 from `compile`.
 
 use std::process::{Command, Output};
 
@@ -376,4 +379,33 @@ fn well_formed_net_flags_run_and_report_stats() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("crossbar"), "missing net stats:\n{stdout}");
+}
+
+#[test]
+fn a_checkpoint_with_a_character_across_its_crc_field_is_a_typed_resume_error() {
+    // `é` is two bytes; 15 hex digits put it across the crc field's end.
+    let dir = std::env::temp_dir().join(format!("mtsim-crc-char-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("cut.jsonl");
+    std::fs::write(&ckpt, "{\"crc\":\"000000000000000\u{e9}\",\"schema\":\"x\"}\n").unwrap();
+    let sweep = ["sweep", "--apps", "sieve", "--models", "switch-on-load", "--p", "2", "--t", "1"];
+    let resume = [&sweep[..], &["--scale", "tiny", "--quiet", "--resume", ckpt.to_str().unwrap()]];
+    assert_usage_error(&resume.concat(), &["crc field is not hex"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_non_ascii_character_in_a_block_comment_never_panics_compile() {
+    let dir = std::env::temp_dir().join(format!("mtsim-comment-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ok = dir.join("cafe.mtc");
+    std::fs::write(&ok, "/* caf\u{e9} */\nfn main() { int x = 1; }\n").unwrap();
+    assert_eq!(mtsim(&["compile", ok.to_str().unwrap()]).status.code(), Some(0));
+    let open = dir.join("open.mtc");
+    std::fs::write(&open, "fn main() {}\n  /* \u{e9}").unwrap();
+    let out = mtsim(&["compile", open.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "an unterminated comment is a compile error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("2:3") && stderr.contains("unterminated block comment"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -104,17 +104,19 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
             continue;
         }
         // comments
-        if source[i..].starts_with("//") {
+        if bytes[i..].starts_with(b"//") {
             while i < bytes.len() && bytes[i] != b'\n' {
                 advance(&mut i, &mut line, &mut col, 1, bytes);
             }
             continue;
         }
-        if source[i..].starts_with("/*") {
+        if bytes[i..].starts_with(b"/*") {
             let (sl, sc) = (line, col);
             advance(&mut i, &mut line, &mut col, 2, bytes);
             while i < bytes.len() {
-                if source[i..].starts_with("*/") {
+                // Bytes, not `source[i..]`: `i` walks the comment byte by byte
+                // and may sit inside a multi-byte character.
+                if bytes[i..].starts_with(b"*/") {
                     advance(&mut i, &mut line, &mut col, 2, bytes);
                     continue 'outer;
                 }
@@ -179,7 +181,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
         }
 
         for p in PUNCTS {
-            if source[i..].starts_with(p) {
+            if bytes[i..].starts_with(p.as_bytes()) {
                 advance(&mut i, &mut line, &mut col, p.len(), bytes);
                 out.push(Spanned { tok: Tok::Punct(p), line: tl, col: tc });
                 continue 'outer;
@@ -240,5 +242,14 @@ mod tests {
         let toks = lex("a /* b\n c */ d").unwrap();
         assert_eq!(toks.len(), 3); // a, d, eof
         assert!(lex("/* unterminated").is_err());
+    }
+
+    #[test]
+    fn non_ascii_in_a_block_comment_is_skipped_not_a_panic() {
+        let unit = crate::compile("cafe", "/* caf\u{e9} */\nfn main() { int x = 1; }", 1);
+        assert!(unit.is_ok(), "{:?}", unit.err());
+        let err = crate::compile("cafe", "int a;\n  /* \u{e9}", 1).unwrap_err();
+        assert_eq!((err.line, err.col), (2, 3));
+        assert_eq!(err.message, "unterminated block comment");
     }
 }

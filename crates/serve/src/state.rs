@@ -268,4 +268,22 @@ mod tests {
         assert_eq!(store.create(tiny_spec(), 0).unwrap(), gone + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn a_checkpoint_with_a_character_across_its_crc_field_reads_as_zero() {
+        // `é` is two bytes; 15 hex digits put it across the field's end.
+        let dir = tmp_dir("crc-char");
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        let id = store.create(tiny_spec(), 3).unwrap();
+        let line = "{\"crc\":\"000000000000000\u{e9}\",\"schema\":\"x\"}\n";
+        std::fs::write(store.ckpt_path(id), line).unwrap();
+        drop(store);
+
+        let (store, requeue) = JobStore::open(&dir).unwrap();
+        assert_eq!(requeue, vec![(id, 3)]);
+        let job = store.get(id).unwrap();
+        assert_eq!(job.state, JobState::Queued);
+        assert_eq!(job.completed.load(std::sync::atomic::Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -154,7 +154,9 @@ fn unseal(line: &str) -> Result<String, String> {
     if rest.len() < CRC_LEN + 2 {
         return Err("line shorter than a sealed record".into());
     }
-    let (hex, tail) = rest.split_at(CRC_LEN);
+    // A multi-byte character across the field's end is a malformed
+    // field, not a panic.
+    let (hex, tail) = rest.split_at_checked(CRC_LEN).ok_or("crc field is not hex")?;
     let want = u64::from_str_radix(hex, 16).map_err(|_| "crc field is not hex".to_string())?;
     let body = tail.strip_prefix("\",").ok_or("malformed crc field terminator")?;
     let got = fnv1a64(body.as_bytes());
@@ -648,6 +650,22 @@ mod tests {
         let tampered = String::from_utf8(tampered).unwrap();
         assert!(unseal(&tampered).unwrap_err().contains("checksum mismatch"));
         assert!(unseal("garbage").unwrap_err().contains("crc prefix"));
+    }
+
+    #[test]
+    fn a_character_across_the_crc_field_end_is_corrupt_not_a_panic() {
+        // `é` is two bytes; 15 hex digits put it across byte 16.
+        let line = "{\"crc\":\"000000000000000\u{e9}\",\"schema\":\"x\"}\n";
+        assert_eq!(unseal(line.trim_end()).unwrap_err(), "crc field is not hex");
+        let path =
+            std::env::temp_dir().join(format!("mtsim-ckpt-crc-char-{}.jsonl", std::process::id()));
+        std::fs::write(&path, line).unwrap();
+        let err = load_checkpoint(path.to_str().unwrap()).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(&err, SweepError::Corrupt { line: 1, detail, .. } if detail == "crc field is not hex"),
+            "{err}"
+        );
     }
 
     #[test]
