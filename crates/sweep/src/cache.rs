@@ -25,6 +25,15 @@
 //!   hashes the instructions directly, so a lookup never renders the
 //!   program as text and a hit allocates nothing.
 //!
+//! * **Each host reference is computed once per `(app, scale)`.** The
+//!   reference an app verifies against (its `host_*` computation) does
+//!   not depend on the thread count, so builds of one `(app, scale)` at
+//!   every thread count share one [`AppReference`] through a slot of the
+//!   same `OnceLock` kind. Reference slots are a detail of building: they
+//!   are not counted in the hit, miss or entry figures, and
+//!   [`ArtifactCache::evict_to`] drops one once no built entry of its
+//!   `(app, scale)` remains.
+//!
 //! The cache's lifetime is the caller's choice: `run_sweep` creates a
 //! private one per sweep by default, while a long-running service
 //! ([`SweepOpts::cache`](crate::SweepOpts)) shares one across requests
@@ -39,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mtsim_apps::{build_app, AppKind, BuiltApp, Scale};
+use mtsim_apps::{build_app_with, reference, AppKind, AppReference, BuiltApp, Scale};
 use mtsim_asm::Program;
 use mtsim_core::DecodedProgram;
 use mtsim_opt::GroupStats;
@@ -47,6 +56,8 @@ use mtsim_opt::GroupStats;
 type Key = (AppKind, Scale, usize);
 /// A cached grouping-pass output: the rewritten image with its statistics.
 type Grouped = (Arc<Program>, Arc<GroupStats>);
+/// A host reference's slot; it carries no LRU stamp.
+type RefSlot = Arc<OnceLock<Arc<AppReference>>>;
 
 /// One cached slot plus the logical time of its most recent lookup.
 struct Entry<T> {
@@ -65,6 +76,10 @@ impl<T> Entry<T> {
 #[derive(Default)]
 pub struct ArtifactCache {
     built: Mutex<HashMap<Key, Entry<Arc<BuiltApp>>>>,
+    /// Host references by `(app, scale)`, shared by the builds of every
+    /// thread count. Uncounted, and unstamped: they leave with the last
+    /// built entry of their `(app, scale)`.
+    references: Mutex<HashMap<(AppKind, Scale), RefSlot>>,
     /// Grouped programs keyed by the *content key* of the source
     /// program, so shape-invariant programs group once per sweep. The
     /// statistics ride along: they are a pure function of the same key.
@@ -103,10 +118,19 @@ impl ArtifactCache {
         let mut built_here = false;
         let value = slot.get_or_init(|| {
             built_here = true;
-            Arc::new(build_app(app, scale, nthreads))
+            Arc::new(build_app_with(app, scale, nthreads, &self.reference(app, scale)))
         });
         self.count(built_here);
         (Arc::clone(value), !built_here)
+    }
+
+    /// The host reference of `(app, scale)`, computing it on first use.
+    /// Racing builders of one `(app, scale)` wait for a single
+    /// computation, as for every other slot, but the lookup is not
+    /// counted.
+    fn reference(&self, app: AppKind, scale: Scale) -> Arc<AppReference> {
+        let slot = Arc::clone(self.references.lock().unwrap().entry((app, scale)).or_default());
+        Arc::clone(slot.get_or_init(|| reference(app, scale)))
     }
 
     /// The grouped (explicit-switch) program for `(app, scale,
@@ -229,6 +253,10 @@ impl ArtifactCache {
             }
             dropped += 1;
         }
+        self.references
+            .lock()
+            .unwrap()
+            .retain(|&(app, scale), _| built.keys().any(|&(a, s, _)| (a, s) == (app, scale)));
         self.evictions.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
@@ -248,6 +276,68 @@ impl std::fmt::Debug for ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtsim_apps::build_app;
+
+    /// The resident reference of `(app, scale)`, if any.
+    fn resident(cache: &ArtifactCache, app: AppKind, scale: Scale) -> Option<Arc<AppReference>> {
+        cache.references.lock().unwrap().get(&(app, scale)).and_then(|slot| slot.get().cloned())
+    }
+
+    #[test]
+    fn thread_counts_share_one_uncounted_reference() {
+        let cache = ArtifactCache::new();
+        cache.built(AppKind::Ugray, Scale::Tiny, 1);
+        let first = resident(&cache, AppKind::Ugray, Scale::Tiny).unwrap();
+        let apps: Vec<_> =
+            [2, 4, 8].into_iter().map(|t| cache.built(AppKind::Ugray, Scale::Tiny, t).0).collect();
+        let last = resident(&cache, AppKind::Ugray, Scale::Tiny).unwrap();
+        assert!(Arc::ptr_eq(&first, &last), "one reference per (app, scale)");
+        // The map, the two handles above and the four verifiers hold it.
+        assert_eq!(Arc::strong_count(&first), 3 + 4);
+        drop(apps);
+        // Counted as without the reference: four builds, four entries.
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (0, 4, 4));
+        cache.built(AppKind::Ugray, Scale::Tiny, 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 4));
+
+        assert_eq!(cache.evict_to(0), 4);
+        assert!(cache.references.lock().unwrap().is_empty(), "no reference outlives its builds");
+    }
+
+    #[test]
+    fn a_reference_leaves_with_the_last_build_of_its_app_and_scale() {
+        let cache = ArtifactCache::new();
+        cache.built(AppKind::Sieve, Scale::Tiny, 1);
+        cache.built(AppKind::Sieve, Scale::Tiny, 2);
+        cache.built(AppKind::Sor, Scale::Tiny, 1);
+        assert_eq!(cache.evict_to(2), 1);
+        assert!(resident(&cache, AppKind::Sieve, Scale::Tiny).is_some(), "sieve T=2 remains");
+        assert_eq!(cache.evict_to(1), 1);
+        assert!(resident(&cache, AppKind::Sieve, Scale::Tiny).is_none());
+        assert!(resident(&cache, AppKind::Sor, Scale::Tiny).is_some());
+    }
+
+    #[test]
+    fn racing_builders_compute_one_reference() {
+        let cache = ArtifactCache::new();
+        let apps: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = [1, 2, 4, 8]
+                .into_iter()
+                .map(|t| {
+                    s.spawn({
+                        let cache = &cache;
+                        move || cache.built(AppKind::Mp3d, Scale::Tiny, t).0
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!((cache.hits(), cache.misses()), (0, 4));
+        assert_eq!(cache.references.lock().unwrap().len(), 1);
+        // Every verifier holds the one reference the map holds.
+        let shared = resident(&cache, AppKind::Mp3d, Scale::Tiny).unwrap();
+        assert_eq!(Arc::strong_count(&shared), 2 + apps.len());
+    }
 
     #[test]
     fn second_lookup_hits_and_shares_the_artifact() {
