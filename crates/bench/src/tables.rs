@@ -1,20 +1,106 @@
-//! Full text reports for the paper's tables, as strings.
+//! Full text reports for the paper's artifacts, as strings.
 //!
-//! Each function renders exactly what the corresponding `tableN` binary
-//! prints — header, table body, and the paper-comparison footer — so the
-//! binaries stay thin printers and the reports can be golden-tested
-//! (`tests/golden_reports.rs` at the workspace root snapshots the `Tiny`
-//! renders).
+//! Each function renders exactly what `mtsim paper <name>` prints —
+//! header, table body, and the paper-comparison footer — so the reports
+//! can be golden-tested (`tests/golden_reports.rs` at the workspace root
+//! snapshots the `Tiny` renders). The three `*_report` functions also
+//! write their `BENCH_*.json` file to the working directory.
 
-use crate::experiments;
+use crate::experiments::{self, NetCurve, NET_MODELS};
 use crate::report::{level, mt_table_text, pct, run_length_text, TextTable};
-use mtsim_apps::Scale;
-use mtsim_core::SwitchModel;
+use mtsim_apps::{build_app, AppKind, Scale};
+use mtsim_core::{Machine, MachineConfig, SwitchModel, Topology};
+use mtsim_mem::CacheParams;
+use mtsim_sweep::json::JsonBuilder;
+use mtsim_sweep::{default_workers, run_jobs};
+use mtsim_trace::{BandwidthProfile, CacheSweep};
+use std::io;
 
-/// `header\n\n` + `body` + `\nfooter\n` — the shape every table binary
-/// has always printed.
+/// `header\n\n` + `body` + `\nfooter\n` — the shape of most artifacts.
 fn wrap(header: String, body: String, footer: &str) -> String {
     format!("{header}\n\n{body}\n{footer}\n")
+}
+
+/// Writes `json` and a newline to `path` in the working directory.
+fn write_bench(path: &str, json: String) -> io::Result<()> {
+    std::fs::write(path, json + "\n")
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {path}: {e}")))
+}
+
+/// Table 1: the application inventory (sizes and serial ideal-machine
+/// cycle counts).
+pub fn table1_text(scale: Scale) -> String {
+    let mut t =
+        TextTable::new(["app", "static insts", "serial cycles", "shared reads", "description"]);
+    for row in experiments::table1(scale) {
+        t.row([
+            row.app.name().to_string(),
+            row.static_insts.to_string(),
+            row.serial_cycles.to_string(),
+            row.shared_reads.to_string(),
+            row.app.description().to_string(),
+        ]);
+    }
+    wrap(
+        format!("Table 1: Parallel Applications (scale {scale:?})"),
+        t.render(),
+        "(paper: sieve 106M, blkmat 87M, sor 258M, ugray 1353M, water 1082M, locus 665M, mp3d 192M cycles at full 1992 sizes)",
+    )
+}
+
+/// Figure 2: efficiency vs processors on the ideal (zero-latency)
+/// shared-memory machine.
+pub fn fig2_text(scale: Scale) -> String {
+    let procs: &[usize] = match scale {
+        Scale::Tiny => &[1, 2, 4, 8],
+        Scale::Small => &[1, 2, 4, 8, 16, 32],
+        Scale::Full => &[1, 2, 4, 8, 16, 32, 64, 128],
+    };
+    let mut t = TextTable::new(
+        std::iter::once("app".to_string()).chain(procs.iter().map(|p| format!("P={p}"))),
+    );
+    for (app, pts) in experiments::fig2(scale, procs) {
+        t.row(
+            std::iter::once(app.name().to_string()).chain(pts.iter().map(|pt| pct(pt.efficiency))),
+        );
+    }
+    wrap(
+        format!("Figure 2: efficiency on an ideal shared-memory machine (scale {scale:?})"),
+        t.render(),
+        "(paper: fixed-size efficiency decays with P; water is erratic under its static balance)",
+    )
+}
+
+/// Figure 3: sieve under switch-on-load multithreading — efficiency vs
+/// processors for several multithreading levels, plus the ideal curve.
+pub fn fig3_text(scale: Scale) -> String {
+    let (levels, procs): (&[usize], &[usize]) = match scale {
+        Scale::Tiny => (&[1, 2, 4], &[1, 2, 4]),
+        Scale::Small => (&[1, 2, 4, 6, 8, 12, 16, 24], &[1, 2, 4, 8]),
+        Scale::Full => (&[1, 2, 4, 6, 8, 12, 16, 24, 32], &[1, 2, 4, 8, 16]),
+    };
+    let mut t = TextTable::new(
+        std::iter::once("curve".to_string()).chain(procs.iter().map(|p| format!("P={p}"))),
+    );
+    for (label, pts) in experiments::fig3(scale, levels, procs) {
+        t.row(std::iter::once(label).chain(pts.iter().map(|pt| pct(pt.efficiency))));
+    }
+    wrap(
+        format!("Figure 3: sieve, switch-on-load, 200-cycle latency (scale {scale:?})"),
+        t.render(),
+        "(paper: T=1 runs at 9%; near-100% efficiency from T=12)",
+    )
+}
+
+/// Figure 4: the sor inner loop before and after the grouping
+/// optimization (full program listings; the five-load group is in the
+/// innermost block, closed by a single `switch`). Independent of scale.
+pub fn fig4_text() -> String {
+    let (orig, grouped) = experiments::fig4();
+    format!(
+        "Figure 4(a): sor as compiled (loads issued one at a time)\n\n{orig}\n\
+         Figure 4(b): after grouping (loads issued together, one switch)\n\n{grouped}\n"
+    )
 }
 
 /// Table 2: run-length distributions, switch-on-load.
@@ -135,14 +221,217 @@ pub fn table8_text(scale: Scale, jobs: Option<usize>) -> String {
     )
 }
 
+/// §6.2 ablation: the conditional-switch forced-switch interval on ugray
+/// (long cache-hit runs starve lock holders without it).
+pub fn ablation_text(scale: Scale) -> String {
+    let settings = [None, Some(1000), Some(400), Some(200), Some(100)];
+    let mut t = TextTable::new(["max_run", "cycles", "forced switches", "mean run-length"]);
+    for row in experiments::max_run_ablation(scale, &settings) {
+        let max_run = row.max_run.map_or("off".to_string(), |m| m.to_string());
+        match row.outcome {
+            Some((cycles, forced, mean)) => {
+                t.row([max_run, cycles.to_string(), forced.to_string(), format!("{mean:.1}")])
+            }
+            None => t.row([
+                max_run,
+                "LIVELOCK".to_string(),
+                "-".to_string(),
+                "- (spinner starves the lock holder)".to_string(),
+            ]),
+        };
+    }
+    wrap(
+        format!("Section 6.2 ablation: ugray, conditional-switch forced-switch interval (scale {scale:?})"),
+        t.render(),
+        "(paper: the 200-cycle flag bounds runs so lock holders are rescheduled promptly)",
+    )
+}
+
+/// The title claim: how efficiency degrades as the memory round trip
+/// grows from 50 to 800 cycles, per model, at a fixed multithreading
+/// level.
+pub fn latency_text(scale: Scale, jobs: Option<usize>) -> String {
+    let (procs, t) = (2, 8);
+    let mut table = TextTable::new(
+        std::iter::once("latency".to_string())
+            .chain(experiments::LATENCY_MODELS.iter().map(|m| m.to_string())),
+    );
+    let latencies = [50, 100, 200, 400, 800];
+    for row in experiments::latency_sweep(AppKind::Ugray, scale, procs, t, &latencies, jobs) {
+        table.row(
+            std::iter::once(row.latency.to_string()).chain(row.efficiency.iter().map(|&e| pct(e))),
+        );
+    }
+    wrap(
+        format!("Latency tolerance: ugray, {procs} procs x {t} threads (scale {scale:?})"),
+        table.render(),
+        "(paper: grouping lets a small thread count tolerate hundreds of cycles)",
+    )
+}
+
+/// Cache-geometry ablation: the paper never states its cache geometry
+/// (the §6 text is partially illegible), so DESIGN.md picks a default and
+/// this sweeps alternatives by replaying each application's
+/// shared-access trace — no re-simulation needed. The per-app trace
+/// collection runs fan out on the sweep crate's claim-cursor pool;
+/// results are merged back in Table 1 order.
+pub fn cache_geometry_text(scale: Scale, jobs: Option<usize>) -> String {
+    let procs = 4;
+    let grid = [
+        CacheParams { lines: 64, line_words: 4 },   // 2 KB
+        CacheParams { lines: 256, line_words: 4 },  // 8 KB
+        CacheParams { lines: 512, line_words: 4 },  // 16 KB (default)
+        CacheParams { lines: 512, line_words: 8 },  // 32 KB, long lines
+        CacheParams { lines: 2048, line_words: 4 }, // 64 KB
+    ];
+    let mut t = TextTable::new(std::iter::once("app".to_string()).chain(
+        grid.iter().map(|g| format!("{}KB/{}w", g.capacity_words() * 8 / 1024, g.line_words)),
+    ));
+    let workers = jobs.unwrap_or_else(default_workers);
+    let hit_rates = run_jobs(AppKind::ALL.to_vec(), workers, |_, &kind| {
+        let app = build_app(kind, scale, procs * 2);
+        let cfg = MachineConfig::new(SwitchModel::SwitchOnLoad, procs, 2).with_trace(true);
+        let fin = Machine::new(cfg, &app.program, app.shared.clone()).run().expect("run");
+        let trace = fin.result.trace.expect("trace");
+        let sweep = CacheSweep::new(&trace, procs);
+        sweep.run_all(&grid).iter().map(|pt| pt.stats.hit_rate()).collect::<Vec<f64>>()
+    });
+    for (kind, rates) in hit_rates {
+        let rates = rates.expect("trace replay job");
+        t.row(std::iter::once(kind.name().to_string()).chain(rates.into_iter().map(pct)));
+    }
+    wrap(
+        format!("Cache-geometry sweep, trace replay (scale {scale:?})"),
+        t.render(),
+        "(hit rates under write-through/invalidate replay; mp3d stays low at any size)",
+    )
+}
+
+/// Bandwidth burstiness: §6.1 warns that "traffic will be bursty and
+/// have periods of higher bandwidth requirements" than the run average.
+/// This quantifies it: mean vs. peak windowed bits/cycle per application.
+pub fn burstiness_text(scale: Scale) -> String {
+    let procs = 4;
+    let mut t = TextTable::new(["app", "mean b/c", "peak b/c", "peak/mean"]);
+    for kind in AppKind::ALL {
+        let app = build_app(kind, scale, procs * 2);
+        let cfg = MachineConfig::new(SwitchModel::ExplicitSwitch, procs, 2).with_trace(true);
+        let fin = Machine::new(cfg, &app.grouped().0, app.shared.clone()).run().expect("run");
+        let trace = fin.result.trace.expect("trace");
+        let profile = BandwidthProfile::new(&trace, 200, procs as u64);
+        t.row([
+            kind.name().to_string(),
+            format!("{:.2}", profile.mean_bits_per_cycle()),
+            format!("{:.2}", profile.peak_bits_per_cycle()),
+            format!("{:.1}x", profile.burstiness()),
+        ]);
+    }
+    wrap(
+        format!("Bandwidth burstiness, explicit-switch, 200-cycle windows (scale {scale:?})"),
+        t.render(),
+        "(the paper's channel-width caveat, quantified: peak demand is several times the mean)",
+    )
+}
+
+fn net_label(c: &NetCurve) -> String {
+    if c.combining {
+        format!("{}+comb", c.topology)
+    } else {
+        c.topology.to_string()
+    }
+}
+
+/// Network saturation curves: the mean modeled round-trip latency per
+/// topology as offered load (threads per processor) grows, per switch
+/// model. The `constant` column is the paper's contention-free control —
+/// it simulates no network and must reproduce the plain-machine numbers.
+/// Writes the curves to `BENCH_net.json`; every number in it is
+/// simulated, so the file is deterministic.
+pub fn net_contention_report(scale: Scale, jobs: Option<usize>) -> io::Result<String> {
+    let (app, procs, ts) = (AppKind::Ugray, 4, [1, 2, 4, 8]);
+    let curves = experiments::net_contention(app, scale, procs, &ts, jobs);
+    let mut out = format!(
+        "Network contention: {app}, {procs} procs, L=200, load axis T={ts:?} (scale {scale:?})\n"
+    );
+    for &model in &NET_MODELS {
+        let cs: Vec<&NetCurve> = curves.iter().filter(|c| c.model == model).collect();
+        let header = || std::iter::once("T".to_string()).chain(cs.iter().map(|c| net_label(c)));
+        let (mut latency, mut cycles) = (TextTable::new(header()), TextTable::new(header()));
+        for (i, &t) in ts.iter().enumerate() {
+            latency.row(std::iter::once(t.to_string()).chain(cs.iter().map(|c| {
+                if c.topology == Topology::Constant {
+                    "-".to_string()
+                } else {
+                    format!("{:.1}", c.points[i].net_mean_latency)
+                }
+            })));
+            cycles.row(
+                std::iter::once(t.to_string())
+                    .chain(cs.iter().map(|c| c.points[i].cycles.to_string())),
+            );
+        }
+        out += &format!(
+            "\n{model} — mean modeled round trip (cycles), '-' = no network simulated:\n{}\
+             {model} — wall-clock cycles:\n{}",
+            latency.render(),
+            cycles.render()
+        );
+
+        // The acceptance claim: modeled latency must rise with offered
+        // load on the multi-hop topologies.
+        for c in &cs {
+            if matches!(c.topology, Topology::Mesh | Topology::Butterfly) && !c.combining {
+                let first = c.points.first().expect("points").net_mean_latency;
+                let last = c.points.last().expect("points").net_mean_latency;
+                assert!(
+                    last > first,
+                    "{model}/{}: latency failed to rise with load ({first:.1} -> {last:.1})",
+                    c.topology
+                );
+            }
+        }
+    }
+    out += "\n(mesh/butterfly latency rises with load; combining flattens the F&A hot spot)\n";
+
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("bench").string("net");
+    j.key("scale").string(scale.name());
+    j.key("app").string(app.name());
+    j.key("procs").u64(procs as u64);
+    j.key("curves").begin_array();
+    for c in &curves {
+        j.begin_object();
+        j.key("model").string(c.model.name());
+        j.key("net").string(c.topology.name());
+        j.key("combining").bool(c.combining);
+        j.key("points").begin_array();
+        for p in &c.points {
+            j.begin_object();
+            j.key("t").u64(p.threads_per_proc as u64);
+            j.key("cycles").u64(p.cycles);
+            j.key("mean_latency").f64(p.net_mean_latency);
+            j.key("queue_cycles").u64(p.net_queue_cycles);
+            j.key("fa_combined").u64(p.net_fa_combined);
+            j.end();
+        }
+        j.end();
+        j.end();
+    }
+    j.end();
+    j.end();
+    write_bench("BENCH_net.json", j.finish())?;
+    Ok(out + &format!("wrote BENCH_net.json ({} saturation curves)\n", curves.len()))
+}
+
 /// Optimizer gains: the paper's intra-block grouping, measured, against
 /// the §5.2 one-line-cache estimate of inter-block grouping.
 pub fn opt_gains_text(scale: Scale) -> String {
     opt_gains_render(&experiments::opt_gains(scale), scale)
 }
 
-/// Renders pre-computed [`experiments::OptGainRow`]s (the `opt_gains`
-/// binary reuses the rows for `BENCH_opt.json`).
+/// Renders pre-computed [`experiments::OptGainRow`]s ([`opt_gains_report`]
+/// reuses the rows for `BENCH_opt.json`).
 pub fn opt_gains_render(rows: &[experiments::OptGainRow], scale: Scale) -> String {
     let mut t = TextTable::new(["app", "cycles", "dyn grouping", "static mean", "estimate"]);
     for row in rows {
@@ -164,9 +453,33 @@ why the passes that chased it were deleted)",
     )
 }
 
+/// [`opt_gains_text`] plus `BENCH_opt.json`, so the measured-vs-estimated
+/// gap has a trajectory across changes.
+pub fn opt_gains_report(scale: Scale) -> io::Result<String> {
+    let rows = experiments::opt_gains(scale);
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("bench").string("opt");
+    j.key("scale").string(scale.name());
+    j.key("apps").begin_array();
+    for row in &rows {
+        j.begin_object();
+        j.key("app").string(row.app.name());
+        j.key("cycles").u64(row.cycles);
+        j.key("dyn_grouping").f64(row.dyn_grouping);
+        j.key("group_mean").f64(row.group_mean);
+        j.key("estimated_factor").f64(row.estimated_factor);
+        j.end();
+    }
+    j.end();
+    j.end();
+    write_bench("BENCH_opt.json", j.finish())?;
+    Ok(opt_gains_render(&rows, scale) + "  wrote BENCH_opt.json\n")
+}
+
 /// Model frontier: renders [`experiments::model_frontier`]'s rows for
-/// every switch model on the trace-replay workload (the `model_frontier`
-/// binary reuses the rows for `BENCH_models.json`).
+/// every switch model on the trace-replay workload
+/// ([`model_frontier_report`] reuses the rows for `BENCH_models.json`).
 pub fn model_frontier_render(rows: &[experiments::ModelFrontierRow], scale: Scale) -> String {
     let levels = experiments::frontier_levels(scale);
     let mut t = TextTable::new(
@@ -189,4 +502,48 @@ pub fn model_frontier_render(rows: &[experiments::ModelFrontierRow], scale: Scal
          because a width-4 processor retires up to four instructions per cycle \
          against the single-issue serial baseline)",
     )
+}
+
+/// The model frontier (DESIGN.md §22) plus `BENCH_models.json`, so the
+/// SMT-vs-blocking comparison has a machine-readable trajectory.
+pub fn model_frontier_report(scale: Scale, jobs: Option<usize>) -> io::Result<String> {
+    let rows = experiments::model_frontier(scale, jobs);
+    let eff_at_top = |model: SwitchModel| {
+        rows.iter()
+            .find(|r| r.model == model)
+            .and_then(|r| r.efficiencies.last().copied())
+            .unwrap_or(0.0)
+    };
+
+    let mut j = JsonBuilder::new();
+    j.begin_object();
+    j.key("schema").string("mtsim-bench-models/v1");
+    j.key("scale").string(scale.name());
+    j.key("app").string("replay");
+    j.key("latency").u64(200);
+    j.key("procs").u64(rows.first().map(|r| r.procs).unwrap_or(0) as u64);
+    j.key("levels").begin_array();
+    for t in experiments::frontier_levels(scale) {
+        j.u64(t as u64);
+    }
+    j.end();
+    j.key("models").begin_array();
+    for row in &rows {
+        j.begin_object();
+        j.key("model").string(row.model.name());
+        j.key("efficiency").begin_array();
+        for &e in &row.efficiencies {
+            j.f64(e);
+        }
+        j.end();
+        j.end();
+    }
+    j.end();
+    // The headline claim at the top multithreading level: SMT vs the
+    // best blocking single-issue model.
+    j.key("smt_efficiency").f64(eff_at_top(SwitchModel::Smt));
+    j.key("switch_on_use_miss_efficiency").f64(eff_at_top(SwitchModel::SwitchOnUseMiss));
+    j.end();
+    write_bench("BENCH_models.json", j.finish())?;
+    Ok(model_frontier_render(&rows, scale) + "wrote BENCH_models.json\n")
 }

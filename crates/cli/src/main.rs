@@ -35,6 +35,7 @@
 //!              [--locality R] [--sharing R] [model/net flags]
 //! mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]
 //!             [--queue-cap N] [--cache-cap N]
+//! mtsim paper [NAME...] [--scale tiny|small|full] [--jobs N]
 //! ```
 //!
 //! `--model` accepts every name from `mtsim models`; the SMT model also
@@ -104,10 +105,17 @@
 //! DESIGN.md §19): a JSON-over-HTTP job queue on the sweep engine with
 //! a shared artifact cache and crash-safe restart-resume. `--port 0`
 //! binds an ephemeral port; the bound address is printed on stdout.
-//! Worker counts for `sweep`, `check`, and `serve` come from `--jobs`
-//! or, when absent, the `MTSIM_JOBS` environment variable; an invalid
-//! value in either place is a usage error (exit 2), never a silent
-//! fallback.
+//!
+//! `paper` regenerates the paper's tables and figures (`mtsim-bench`):
+//! each NAME (`table1`, `fig2`, ...; all of them, in DESIGN.md §7 order,
+//! when none is given) prints its report on stdout. `opt_gains`,
+//! `net_contention` and `model_frontier` also write `BENCH_opt.json`,
+//! `BENCH_net.json` and `BENCH_models.json` to the working directory.
+//!
+//! Worker counts for `sweep`, `check`, `serve` and `paper` come from
+//! `--jobs` or, when absent, the `MTSIM_JOBS` environment variable; an
+//! invalid value in either place is a usage error (exit 2), never a
+//! silent fallback.
 //!
 //! Exit codes: `0` success, `1` the simulation failed (fault exhaustion,
 //! deadlock, watchdog, bad program, wrong results), `2` usage,
@@ -129,6 +137,7 @@ use flags::{net_config, parse_latency_dist, FlagError};
 use std::borrow::Cow;
 
 use mtsim_apps::{build_app, program_for, replay::replay_app, run_program, AppKind, Scale};
+use mtsim_bench::ARTIFACTS;
 use mtsim_core::{
     Machine, MachineConfig, NoopRecorder, ObsRecorder, StreamHist, SwitchModel, MAX_TOTAL_THREADS,
 };
@@ -150,7 +159,7 @@ const EXIT_ABORTED: i32 = 4;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--max-cycles N] [--stats]\n              [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--max-run N|off] [--max-cycles N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n\napps: {}\nmodels: {}",
+        "usage:\n  mtsim run <app> [--model M] [-p N] [-t N] [--scale tiny|small|full]\n             [--latency N] [--max-run N|off] [--priority] [--estimate] [--stats]\n             [--opt-level auto|none|intra]\n             [--seed N] [--fault-drop R] [--fault-delay R] [--fault-dup R]\n             [--latency-dist constant|uniform:LO:HI|geometric:MIN:MEAN]\n             [--max-retries N] [--max-cycles N]\n             [--net constant|crossbar|mesh|butterfly] [--link-bw N] [--combining]\n  mtsim list\n  mtsim models\n  mtsim disasm <app> [--grouped] [--scale S]\n  mtsim opt <app> [--level none|intra] [--scale S] [-t N] [--diff]\n  mtsim compile <file.mtc> [-t N] [--grouped]\n  mtsim run-file <file.mtc> [--model M] [-p N] [-t N] [--max-cycles N] [--stats]\n              [fault/net flags]\n  mtsim profile <app> [--model M] [-p N] [-t N] [--scale S] [--latency N]\n              [--max-run N|off] [--max-cycles N]\n              [--out trace.json] [--ring N] [--attr] [fault/net flags]\n  mtsim sweep [--spec FILE] [--apps LIST|all] [--models LIST|all] [--p LIST]\n              [--t LIST] [--latency LIST] [--seeds LIST] [--drop LIST]\n              [--net LIST|all] [--opt LIST|all] [--link-bw N] [--combining] [--attr]\n              [--smt-width N] [--scale S] [--max-cycles N] [--max-retries N]\n              [--jobs N] [--out FILE.json] [--csv FILE.csv] [--quiet]\n              [--resume FILE.jsonl] [--job-timeout SECS] [--retries N]\n  mtsim check [--fuzz N] [--seed S] [--jobs N] [--shrink-budget N] [--chaos N]\n              [--deep [--bless]]\n  mtsim replay <trace.txt>|--synth SEED [--model M] [-p N] [-t N] [--latency N]\n              [--events N] [--addr-words N] [--locality R] [--sharing R]\n              [--max-cycles N] [--stats] [net flags]\n  mtsim serve [--addr A] [--port N] [--jobs N] [--state-dir DIR]\n              [--queue-cap N] [--cache-cap N]\n  mtsim paper [NAME...] [--scale tiny|small|full] [--jobs N]\n\napps: {}\nmodels: {}",
         AppKind::ALL.map(|a| a.name()).join(", "),
         SwitchModel::ALL.map(|m| m.name()).join(", ") + " (smt takes smt:<width>)"
     );
@@ -360,7 +369,33 @@ fn main() {
             value_flags.extend(NET_FLAGS);
             cmd_replay(&Args::parse(&value_flags, &["stats", "combining"]))
         }
+        Some("paper") => cmd_paper(&Args::parse(&["scale", "jobs"], &[])),
         _ => usage(),
+    }
+}
+
+fn cmd_paper(args: &Args) {
+    let scale = args.get("scale").map(parse_scale).unwrap_or(Scale::Small);
+    let jobs = flag_or_die(flags::resolve_jobs(args.get("jobs")));
+    let names = &args.positional[1..];
+    let artifacts: Vec<_> = if names.is_empty() {
+        ARTIFACTS.iter().collect()
+    } else {
+        names
+            .iter()
+            .map(|name| {
+                ARTIFACTS.iter().find(|(n, _)| n == name).unwrap_or_else(|| {
+                    let known: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
+                    bad_usage(&format!("unknown artifact '{name}' (want {})", known.join(", ")))
+                })
+            })
+            .collect()
+    };
+    for (name, render) in artifacts {
+        match render(scale, jobs) {
+            Ok(text) => print!("{text}"),
+            Err(e) => die(EXIT_RUN_FAILED, format!("error: {name}: {e}")),
+        }
     }
 }
 

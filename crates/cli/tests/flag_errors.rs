@@ -7,7 +7,9 @@
 //! exits 2 and names the flag and the range. Untrusted files end in typed
 //! errors too: a checkpoint whose crc field splits a multi-byte character
 //! exits 2 on `--resume`, and one inside an unterminated `.mtc` block
-//! comment exits 1 from `compile`.
+//! comment exits 1 from `compile`. `mtsim paper` refuses an unknown
+//! artifact name, scale, worker count or flag with exit 2 before it
+//! renders anything.
 
 use std::process::{Command, Output};
 
@@ -408,4 +410,28 @@ fn a_non_ascii_character_in_a_block_comment_never_panics_compile() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("2:3") && stderr.contains("unterminated block comment"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn paper_refuses_bad_names_and_flags_before_rendering() {
+    assert_usage_error(
+        &["paper", "table9", "--scale", "tiny"],
+        &["unknown artifact 'table9'", "table1, fig2, table2", "model_frontier"],
+    );
+    assert_usage_error(&["paper", "table1", "--scale", "huge"], &["unknown scale 'huge'"]);
+    assert_usage_error(
+        &["paper", "table3", "--scale", "tiny", "--jobs", "0"],
+        &["bad value '0' for --jobs", ">= 1"],
+    );
+    // Misspelt and `=`-joined flags used to fall back to small scale.
+    for flag in ["--sacle", "--scale=tiny"] {
+        assert_usage_error(
+            &["paper", "table1", flag, "tiny"],
+            &[&format!("unknown flag '{flag}'")],
+        );
+    }
+    // A valid name next to a bad one prints nothing.
+    let out = mtsim(&["paper", "table1", "nope", "--scale", "tiny"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }
