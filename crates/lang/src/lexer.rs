@@ -85,12 +85,13 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
     let mut line = 1;
     let mut col = 1;
 
+    // Columns count characters: a UTF-8 continuation byte adds none.
     let advance = |i: &mut usize, line: &mut usize, col: &mut usize, n: usize, bytes: &[u8]| {
         for _ in 0..n {
             if bytes[*i] == b'\n' {
                 *line += 1;
                 *col = 1;
-            } else {
+            } else if bytes[*i] & 0xC0 != 0x80 {
                 *col += 1;
             }
             *i += 1;
@@ -187,6 +188,9 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
                 continue 'outer;
             }
         }
+        // `i` is a character boundary here: every token and comment
+        // before it ends on one.
+        let c = source[i..].chars().next().unwrap_or(c);
         return Err(CompileError {
             line: tl,
             col: tc,
@@ -251,5 +255,19 @@ mod tests {
         let err = crate::compile("cafe", "int a;\n  /* \u{e9}", 1).unwrap_err();
         assert_eq!((err.line, err.col), (2, 3));
         assert_eq!(err.message, "unterminated block comment");
+    }
+
+    #[test]
+    fn a_non_ascii_character_is_reported_whole_at_its_column() {
+        let err = lex("int x = \u{e9};").unwrap_err();
+        assert_eq!(err.message, "unexpected character '\u{e9}'");
+        assert_eq!((err.line, err.col), (1, 9));
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let toks = lex("/* \u{e9} */ x").unwrap();
+        assert_eq!(toks[0].tok, Tok::Ident("x".to_string()));
+        assert_eq!((toks[0].line, toks[0].col), (1, 9));
     }
 }
