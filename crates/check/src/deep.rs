@@ -37,6 +37,7 @@ use mtsim_core::{Machine, MachineConfig, NetworkConfig, SwitchModel, Topology};
 use mtsim_mem::SharedMemory;
 use mtsim_opt::group_shared_loads;
 use mtsim_rng::Rng;
+use mtsim_sweep::checkpoint::fnv1a64;
 use mtsim_sweep::run_jobs;
 
 /// Fuzzer seeds contributing generated cases (fixed forever: changing
@@ -179,24 +180,16 @@ fn case_tag(case: &DeepCase, idx: usize) -> String {
     }
 }
 
-/// FNV-1a over the complete rendered run output. The Debug renderings
-/// cover every statistic and every architectural byte, so two runs with
-/// equal digests are observationally identical.
-fn digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn run_digest(cfg: MachineConfig, prog: &Program, shared: &SharedMemory) -> Result<u64, String> {
     let mut cfg = cfg;
     cfg.max_cycles = MAX_CYCLES;
     cfg.try_validate()?;
     let run = Machine::new(cfg, prog, shared.clone()).run().map_err(|e| format!("{e}"))?;
-    Ok(digest(&format!("{:?}|{:?}|{:?}", run.result, run.shared, run.threads)))
+    // FNV-1a over the complete rendered run output. The Debug renderings
+    // cover every statistic and every architectural byte, so two runs
+    // with equal digests are observationally identical.
+    let text = format!("{:?}|{:?}|{:?}", run.result, run.shared, run.threads);
+    Ok(fnv1a64(text.as_bytes()))
 }
 
 /// Digests every grid entry of one case, in deterministic order.
@@ -284,7 +277,7 @@ pub fn deep(cfg: DeepConfig) -> DeepSummary {
                         Ok(d) => format!("{d:016x}"),
                         // An engine error is part of the pinned surface:
                         // its rendering must stay identical too.
-                        Err(e) => format!("error:{}", digest(&e)),
+                        Err(e) => format!("error:{}", fnv1a64(e.as_bytes())),
                     };
                     entries.push((label, value));
                 }
